@@ -34,7 +34,15 @@ from .crystal import (
     effective_potential_gradient,
     find_equilibrium,
 )
-from .gate import GateSpec, GateResult, calibrate_amplitude, fidelity_curve, residual_displacement, two_qubit_phase
+from .gate import (
+    GateResult,
+    GateSpec,
+    calibrate_amplitude,
+    fidelity,
+    fidelity_curve,
+    residual_displacement,
+    two_qubit_phase,
+)
 from .modes import build_hessian, classify_bands, williamson
 from .scales import TrapSetup, get_species
 
@@ -179,7 +187,8 @@ def save_state(state: CrystalState, path):
 
 
 def load_state(path, grad_tol=1e-10) -> CrystalState:
-    """Read an equilibrium file back, checking recorded-value consistency."""
+    """Read an equilibrium file back, checking that the recorded energy and
+    P_theta are those of the positions."""
     text = Path(path).read_text().splitlines()
     header = {"N": None, "alpha_z": None, "P_theta": None,
               "omega_r_over_omega_c": None, "energy": None}
@@ -220,7 +229,7 @@ def load_state(path, grad_tol=1e-10) -> CrystalState:
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     grad = effective_potential_gradient(positions, alpha_r, alpha_z)
     gnorm = float(np.linalg.norm(grad))
-    return CrystalState(
+    state = CrystalState(
         positions=positions,
         axial_ratio=alpha_z,
         rotation_frequency=alpha_r,
@@ -230,6 +239,11 @@ def load_state(path, grad_tol=1e-10) -> CrystalState:
         converged=gnorm < grad_tol,
         gradient_norm=gnorm,
     )
+    try:
+        state.validate()
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return state
 
 
 def select_pair(state: CrystalState, rule="innermost"):
@@ -375,13 +389,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
             raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
 
         stage = "fidelity"
-        rows = fidelity_curve(gspec, spectrum, state, setup,
-                              config.temperatures_k, amplitude=amplitude)
-        _write_fidelity(paths["fidelity"], rows)
         residuals = {
             j: residual_displacement(gspec, spectrum, state, setup, j, amplitude=1.0)
             for j in pair
         }
+        rows = [
+            (float(temp), *fidelity(residuals[pair[0]], residuals[pair[1]], amplitude,
+                                    spectrum, temp, setup))
+            for temp in config.temperatures_k
+        ]
+        _write_fidelity(paths["fidelity"], rows)
         gate_result = GateResult(
             amplitude=amplitude,
             theta=phase.theta,

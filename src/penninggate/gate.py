@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.constants as const
+from scipy.special import dawsn, erfc
 
 from .crystal import CrystalState
 from .modes import ModeSpectrum
@@ -21,6 +22,9 @@ from .quadrature import grid_for_frequencies
 from .scales import TrapSetup, derive_scales, trap_frequencies
 
 SIGN_CONFIGS = {"00": (1.0, 1.0), "01": (1.0, -1.0), "10": (-1.0, 1.0), "11": (-1.0, -1.0)}
+# largest window-truncation bound, relative to max |G_k|, at which the
+# Gaussian carrier's phase kernel takes its closed form
+_CLOSED_FORM_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -30,8 +34,13 @@ class GateSpec:
     ``carrier_frequency`` is the physical modulation nu in rad/s, times are
     seconds.  The Gaussian envelope is centred in the gate window by default
     with width gate_time/9, which suppresses the window-edge force below
-    1e-8 of the peak.  ``nodes_per_period`` is the quadrature density on the
-    fastest oscillation (composite Gauss-Legendre panels).
+    1e-8 of the peak.  For this Gaussian carrier the phase kernel is closed
+    form (Dawson's function), used while its rigorous window-truncation bound
+    stays below 1e-10 of the largest kernel entry; wider envelopes fall back
+    to quadrature.  ``nodes_per_period`` is the quadrature density on the
+    fastest oscillation (composite Gauss-Legendre panels); it governs the
+    residual displacement integrals, and the phase kernel of a sampled
+    ``profile`` or of an envelope that takes the fallback.
     """
 
     target_pair: tuple
@@ -215,9 +224,7 @@ def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: Crystal
     prefactor = _force_prefactor(spec, state, setup, amplitude=amplitude)
     profile = prefactor * _carrier(grid.flat_times, dims)
     omegas = spectrum.frequencies
-    phases = np.exp(1j * omegas[:, None] * grid.flat_times[None, :])
-    integrals = grid.integrate(phases * profile[None, :])
-    return couplings[ion] * integrals / np.sqrt(omegas)
+    return couplings[ion] * grid.fourier(profile, omegas) / np.sqrt(omegas)
 
 
 def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
@@ -225,8 +232,47 @@ def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
 
     G_k = int_0^tau dt c(t) int_0^t ds c(s) sin(omega_k (t - s)) for the
     normalized carrier-envelope profile c; the phase of a drive
-    alpha_k = A c(t) is then |A|^2 G_k.
+    alpha_k = A c(t) is then |A|^2 G_k.  The Gaussian carrier takes the
+    closed form whenever its window truncation bound is at most 1e-10 of
+    the largest |G_k|; a sampled profile, or an envelope too wide for its
+    window, takes the panel quadrature.
     """
+    dims = _dimensionless(spec, setup)
+    if dims["profile"] is None:
+        kernel, bound = _gaussian_phase_kernel(dims, spectrum.frequencies)
+        if bound.max() <= _CLOSED_FORM_RTOL * np.abs(kernel).max():
+            return kernel
+    return _quadrature_phase_kernel(spec, spectrum, setup)
+
+
+def _gaussian_phase_kernel(dims, omegas):
+    """Infinite-line G_k of the Gaussian carrier and a bound on |Delta G_k|,
+    the error of dropping the window [0, tau].
+
+    With F Dawson's function, sigma the width and t_c the centre,
+    G_k = (sqrt(pi) sigma^2 / 2) [(F((w+nu) sigma/sqrt2) + F((w-nu) sigma/sqrt2)) / 2
+    + exp(-nu^2 sigma^2 / 2) F(w sigma/sqrt2)].  The bound is
+    T [|C(w)| + 3T/2], with T >= int |c| outside the window and
+    |C(w)| = (sqrt(pi) sigma / 2)(e^(-(w-nu)^2 sigma^2/4) + e^(-(w+nu)^2 sigma^2/4))
+    the carrier's Fourier magnitude.
+    """
+    sigma, nu = dims["width"], dims["nu"]
+    x = np.asarray(omegas, dtype=float) * sigma / math.sqrt(2.0)
+    y = nu * sigma / math.sqrt(2.0)
+    kernel = 0.5 * math.sqrt(math.pi) * sigma**2 * (
+        0.5 * (dawsn(x + y) + dawsn(x - y)) + math.exp(-y * y) * dawsn(x)
+    )
+    tail = 0.5 * math.sqrt(math.pi) * sigma * (
+        erfc(dims["center"] / sigma) + erfc((dims["tau"] - dims["center"]) / sigma)
+    )
+    transform = 0.5 * math.sqrt(math.pi) * sigma * (
+        np.exp(-0.5 * (x - y) ** 2) + np.exp(-0.5 * (x + y) ** 2)
+    )
+    return kernel, tail * (transform + 1.5 * tail)
+
+
+def _quadrature_phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
+    """G_k by panel quadrature of the running integral, for any profile."""
     dims = _dimensionless(spec, setup)
     grid = _grid(spec, spectrum, setup)
     profile = _carrier(grid.flat_times, dims)

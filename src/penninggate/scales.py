@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 
-import numpy as np
 import scipy.constants as const
 
 BOHR_RADIUS = const.physical_constants["Bohr radius"][0]
@@ -201,28 +200,20 @@ def stability_class(beta: float, n_ions: int) -> StabilityClass:
 
 
 def effective_radial_frequency(omega_r: float, setup: TrapSetup) -> float:
-    """Effective radial frequency at rotation omega_r.
+    """Effective radial frequency sqrt(omega_r (omega_c - omega_r) - omega_z^2 / 2)
+    at rotation omega_r.
 
-    Evaluates both equivalent closed forms,
-    sqrt(omega_c^2 - delta^2 - 2 omega_z^2)/2 with delta = omega_c - 2 omega_r
-    and sqrt(omega_r (omega_c - omega_r) - omega_z^2 / 2),
-    and cross-checks them before returning.
+    This is the same expression as sqrt(omega_c^2 - delta^2 - 2 omega_z^2) / 2
+    with delta = omega_c - 2 omega_r, since (omega_c^2 - delta^2) / 4 =
+    omega_r (omega_c - omega_r); the product form keeps its digits when
+    omega_r << omega_c, where the difference of squares cancels.
     """
     wc = setup.cyclotron_frequency
     wz = setup.axial_ratio * wc
-    delta = wc - 2.0 * omega_r
-    r1 = wc**2 - delta**2 - 2.0 * wz**2
     r2 = omega_r * (wc - omega_r) - 0.5 * wz**2
     if r2 < 0:
         raise ValueError("no effective radial confinement at this rotation frequency")
-    f1 = 0.5 * math.sqrt(max(r1, 0.0))
-    f2 = math.sqrt(r2)
-    # agreement tolerance: 1e-12 relative plus the round-off floor of the
-    # difference-of-squares form, which loses digits when omega_r << omega_c
-    floor = np.finfo(float).eps * wc**2 / max(f2, 1e-300)
-    if abs(f1 - f2) > 1e-12 * max(f2, 1.0) + floor:
-        raise AssertionError("the two closed forms disagree beyond tolerance")
-    return f2
+    return math.sqrt(r2)
 
 
 def _species_from_row(row: dict) -> SpeciesRecord:

@@ -86,6 +86,19 @@ def test_load_truncated_file_reports_line(eq_low_p4000, tmp_path):
         load_state(tmp_path / "bad.txt")
 
 
+def test_load_rejects_inconsistent_ptheta_header(eq_low_p4000, tmp_path):
+    path = tmp_path / "eq.txt"
+    save_state(eq_low_p4000, path)
+    lines = [
+        f"P_theta = {1.01 * eq_low_p4000.angular_momentum!r}" if line.startswith("P_theta") else line
+        for line in path.read_text().splitlines()
+    ]
+    edited = tmp_path / "edited.txt"
+    edited.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"edited\.txt: angular momentum inconsistent"):
+        load_state(edited)
+
+
 def test_load_then_refine_takes_no_steps(eq_low_p4000, tmp_path):
     path = tmp_path / "eq.txt"
     save_state(eq_low_p4000, path)

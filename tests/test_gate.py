@@ -312,6 +312,80 @@ def test_phase_modulated_oracle(setup_high):
     assert abs(theta) == pytest.approx(abs(theta_oracle), rel=0.02)
 
 
+def midgap_spec(eq_high, bands_high, setup_high, pair_high, ratio, sigma_fraction):
+    from penninggate.bench import resolve_carrier
+
+    tau_r = TWO_PI / (eq_high.rotation_frequency * setup_high.cyclotron_frequency)
+    tau_g = ratio * tau_r
+    return GateSpec(target_pair=pair_high,
+                    carrier_frequency=resolve_carrier(bands_high) * setup_high.cyclotron_frequency,
+                    gate_time=tau_g, envelope_width=sigma_fraction * tau_g)
+
+
+@pytest.mark.parametrize("ratio", [0.006, 0.05, 0.2])
+def test_closed_form_phase_kernel_matches_quadrature(ratio, eq_high, spectrum_high, bands_high,
+                                                     setup_high, pair_high):
+    # the closed form is the infinite-line value: beyond rounding it may
+    # differ from the windowed quadrature only by its truncation bound, which
+    # is below 1e-12 of max |G| at tau/9 and tau/8 but not at tau/7
+    from penninggate.gate import (
+        _dimensionless,
+        _gaussian_phase_kernel,
+        _quadrature_phase_kernel,
+    )
+
+    for fraction in (1 / 9, 1 / 8, 1 / 7):
+        spec = midgap_spec(eq_high, bands_high, setup_high, pair_high, ratio, fraction)
+        closed, bound = _gaussian_phase_kernel(_dimensionless(spec, setup_high),
+                                               spectrum_high.frequencies)
+        quad = _quadrature_phase_kernel(spec, spectrum_high, setup_high)
+        scale = np.abs(quad).max()
+        assert np.all(np.abs(closed - quad) <= 1e-12 * scale + bound)
+        if fraction != 1 / 7:
+            assert np.abs(closed - quad).max() <= 1e-12 * scale
+
+
+def test_closed_form_phase_kernel_slow_carrier(setup_high):
+    # nu sigma ~ 0.1: the exp(-nu^2 sigma^2 / 2) F(omega sigma / sqrt 2) term
+    # carries half of G_k here, while it vanishes under a fast carrier
+    from penninggate.gate import (
+        _dimensionless,
+        _gaussian_phase_kernel,
+        _quadrature_phase_kernel,
+    )
+
+    wc = setup_high.cyclotron_frequency
+    omegas = np.array([0.21, 0.33, 0.52, 0.64, 0.77, 0.9])
+    state, spectrum = synthetic_system(setup_high, omegas, mixing_matrix())
+    spec = GateSpec(target_pair=(0, 1), carrier_frequency=0.001 * wc, gate_time=900.0 / wc)
+    closed, bound = _gaussian_phase_kernel(_dimensionless(spec, setup_high), omegas)
+    quad = _quadrature_phase_kernel(spec, spectrum, setup_high)
+    assert bound.max() <= 1e-12 * np.abs(quad).max()
+    assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max()
+
+
+def test_phase_kernel_takes_closed_form_only_inside_its_bound(eq_high, spectrum_high,
+                                                              bands_high, setup_high, pair_high):
+    from penninggate.gate import (
+        _dimensionless,
+        _gaussian_phase_kernel,
+        _quadrature_phase_kernel,
+        phase_kernel,
+    )
+
+    narrow = midgap_spec(eq_high, bands_high, setup_high, pair_high, 0.05, 1 / 9)
+    closed, _ = _gaussian_phase_kernel(_dimensionless(narrow, setup_high),
+                                       spectrum_high.frequencies)
+    np.testing.assert_array_equal(phase_kernel(narrow, spectrum_high, setup_high), closed)
+    # sigma = tau/5 leaves ~1e-4 of the envelope outside the window
+    wide = midgap_spec(eq_high, bands_high, setup_high, pair_high, 0.05, 1 / 5)
+    _, bound = _gaussian_phase_kernel(_dimensionless(wide, setup_high),
+                                      spectrum_high.frequencies)
+    quad = _quadrature_phase_kernel(wide, spectrum_high, setup_high)
+    assert bound.max() > 1e-10 * np.abs(quad).max()
+    np.testing.assert_array_equal(phase_kernel(wide, spectrum_high, setup_high), quad)
+
+
 def test_calibration_scaling_and_recheck(gate_high, eq_high, spectrum_high, setup_high):
     theta1 = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
     amp = calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
