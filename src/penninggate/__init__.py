@@ -48,6 +48,7 @@ from .gate import (  # noqa: E402
     LaserGeometry,
     LaserResources,
     calibrate_amplitude,
+    calibrated_phase,
     fidelity,
     fidelity_curve,
     force_profile,

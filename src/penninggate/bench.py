@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -38,10 +39,10 @@ from .gate import (
     GateResult,
     GateSpec,
     calibrate_amplitude,
+    calibrated_phase,
     fidelity,
     fidelity_curve,
     residual_displacement,
-    two_qubit_phase,
 )
 from .modes import build_hessian, classify_bands, williamson
 from .scales import TrapSetup, get_species
@@ -383,8 +384,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
             nu = 2.0 * math.pi * float(config.nu_hz)
 
         gspec = _gate_spec(config, pair, nu, tau_g)
-        amplitude = calibrate_amplitude(gspec, spectrum, state, setup)
-        phase = two_qubit_phase(replace(gspec, amplitude=amplitude), spectrum, state, setup)
+        amplitude, phase = calibrated_phase(gspec, spectrum, state, setup)
         if abs(abs(phase.theta) - math.pi) > 1e-6:
             raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
 
@@ -449,7 +449,10 @@ def _gate_spec(config: ExperimentConfig, pair, nu, tau_g):
 
 
 def _write_manifest(path, config, started, failed=None):
-    lines = [f"# penninggate {__version__}", f"# elapsed_s {time.time() - started:.3f}"]
+    threads = " ".join(f"{name}={os.environ.get(name, 'unset')}"
+                       for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    lines = [f"# penninggate {__version__}", f"# elapsed_s {time.time() - started:.3f}",
+             f"# blas_threads {threads}"]
     if failed:
         lines.append(f"# failed_stage {failed}")
     lines.extend(config_lines(config))

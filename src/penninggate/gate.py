@@ -10,7 +10,7 @@ pi phase, and the thermal gate fidelity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.constants as const
@@ -308,16 +308,29 @@ def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
     return PhaseResult(theta=float(theta), by_state=by_state, mode_phases=cross)
 
 
+def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
+                     setup: TrapSetup, target=math.pi):
+    """Amplitude that makes |theta| equal the target, and the phases at it.
+
+    Every phase scales as A^2, so one unit-amplitude probe (one phase
+    kernel) gives both.
+    """
+    probe = two_qubit_phase(replace(spec, amplitude=1.0), spectrum, state, setup)
+    if probe.theta == 0.0:
+        raise ValueError("degenerate drive: unit-amplitude phase vanishes")
+    amplitude = math.sqrt(target / abs(probe.theta))
+    scale = amplitude**2
+    return amplitude, PhaseResult(
+        theta=probe.theta * scale,
+        by_state={label: value * scale for label, value in probe.by_state.items()},
+        mode_phases=probe.mode_phases * scale,
+    )
+
+
 def calibrate_amplitude(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
                         setup: TrapSetup, target=math.pi) -> float:
     """Dimensionless force amplitude that makes |theta| equal the target."""
-    from dataclasses import replace
-
-    probe = replace(spec, amplitude=1.0)
-    theta1 = two_qubit_phase(probe, spectrum, state, setup).theta
-    if theta1 == 0.0:
-        raise ValueError("degenerate drive: unit-amplitude phase vanishes")
-    return math.sqrt(target / abs(theta1))
+    return calibrated_phase(spec, spectrum, state, setup, target)[0]
 
 
 def thermal_weights(frequencies, temperature, setup: TrapSetup, skip=None):

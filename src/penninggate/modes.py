@@ -5,10 +5,19 @@ Phase space is ordered as the interleaved vector
 ``d = (q_1x, p_1x, q_1y, p_1y, ..., q_Nz, p_Nz)`` so the symplectic form is
 block diagonal with 2x2 blocks [[0, 1], [-1, 0]].  All quantities are
 dimensionless: positions in l_s, momenta in p_s, frequencies in omega_c.
+
+The decomposition first splits the regularized Hessian into the (q, p)
+blocks that no entry couples.  A planar crystal (every z exactly 0, as the
+Newton refinement leaves it) has no in-plane/axial curvature, so it splits
+into a 4N in-plane and a 2N axial block; a 3D crystal, where some pair of
+ions differs in z, stays one 6N block.  Each block is factored H = L L^T
+(Cholesky), the canonical pairs come from one Hermitian eigendecomposition
+of i L^T J L, and S = D^(1/2) O^T L^(-1) gets one symplectic polish.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +78,10 @@ class ModeSpectrum:
 
 def symplectic_form(n_dof: int):
     """Block-diagonal symplectic form J for n_dof (q, p) pairs."""
-    j2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     out = np.zeros((2 * n_dof, 2 * n_dof))
-    for k in range(n_dof):
-        out[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = j2
+    k = 2 * np.arange(n_dof)
+    out[k, k + 1] = 1.0
+    out[k + 1, k] = -1.0
     return out
 
 
@@ -125,167 +134,142 @@ def build_hessian(state: CrystalState) -> QuadraticHamiltonian:
     # Hess of the frame potential: effective-potential curvature plus the
     # centrifugal completion Omega^2 on the in-plane coordinates.
     qq = effective_potential_hessian(state.positions, alpha_r, alpha_z)
-    for k in range(n):
-        qq[3 * k, 3 * k] += omega**2
-        qq[3 * k + 1, 3 * k + 1] += omega**2
+    inplane = np.flatnonzero(np.arange(3 * n) % 3 != 2)
+    qq[inplane, inplane] += omega**2
 
     h = np.zeros((6 * n, 6 * n))
-    pos = [2 * m for m in range(3 * n)]
-    mom = [2 * m + 1 for m in range(3 * n)]
-    h[np.ix_(pos, pos)] = qq
-    h[np.ix_(mom, mom)] = np.eye(3 * n)
-    for k in range(n):
-        px = 2 * (3 * k) + 1
-        y = 2 * (3 * k + 1)
-        py = 2 * (3 * k + 1) + 1
-        x = 2 * (3 * k)
-        h[px, y] += omega
-        h[y, px] += omega
-        h[py, x] -= omega
-        h[x, py] -= omega
+    h[0::2, 0::2] = qq
+    h[1::2, 1::2] = np.eye(3 * n)
+    x = 6 * np.arange(n)  # q_x of each ion; p_x, q_y, p_y follow
+    h[x + 1, x + 2] += omega
+    h[x + 2, x + 1] += omega
+    h[x + 3, x] -= omega
+    h[x, x + 3] -= omega
     return QuadraticHamiltonian(matrix=h, reference=state)
 
 
-def rotation_null_vector(state: CrystalState):
-    """Phase-space direction of a rigid rotation of the equilibrium.
+def _rotation_direction(positions, omega=None):
+    """Unit phase-space direction of a rigid in-plane rotation, or None when
+    every ion sits on the axis (no rotational freedom).
 
-    Returns None when the configuration carries no rotational freedom
-    (single ion at the trap center).
+    Position entries are (-y_k, x_k, 0).  With ``omega`` the momentum entries
+    carry the corotating shift -omega (x_k, y_k, 0), which makes it the
+    null direction of the unregularized Hessian; without it they are 0.
     """
-    q = state.positions
-    omega = minimal_coupling_rate(state.rotation_frequency)
-    n = state.n_ions
-    vec = np.zeros(6 * n)
-    for k in range(n):
-        x, y = q[k, 0], q[k, 1]
-        vec[2 * (3 * k)] = -y            # delta x
-        vec[2 * (3 * k + 1)] = x         # delta y
-        vec[2 * (3 * k) + 1] = -omega * x     # delta p_x
-        vec[2 * (3 * k + 1) + 1] = -omega * y  # delta p_y
+    q = np.asarray(positions, dtype=float)
+    vec = np.zeros((len(q), 3, 2))  # (ion, axis, q or p): the interleaved order
+    vec[:, 0, 0] = -q[:, 1]
+    vec[:, 1, 0] = q[:, 0]
+    if omega is not None:
+        vec[:, :2, 1] = -omega * q[:, :2]
+    vec = vec.ravel()
     norm = np.linalg.norm(vec)
     if norm < 1e-12:
         return None
     return vec / norm
 
 
-def _position_projector(state: CrystalState):
-    """Rank-one regularizer on the in-plane rotation direction (positions only)."""
-    q = state.positions
-    n = state.n_ions
-    vec = np.zeros(6 * n)
-    for k in range(n):
-        vec[2 * (3 * k)] = -q[k, 1]
-        vec[2 * (3 * k + 1)] = q[k, 0]
-    norm = np.linalg.norm(vec)
-    if norm < 1e-12:
-        return None
-    vec /= norm
-    return np.outer(vec, vec)
+def _times_j(m):
+    """m @ J for the interleaved symplectic form J, by column swaps."""
+    out = np.empty_like(m)
+    out[..., 0::2] = -m[..., 1::2]
+    out[..., 1::2] = m[..., 0::2]
+    return out
 
 
-def _canonical_pairs(kmat, values, vectors, cluster_tol=1e-12):
-    """Orthogonal O with O^T K O in 2x2 antisymmetric blocks, from eigh(iK).
+def _decoupled_blocks(h):
+    """Named phase-space index sets of the exactly decoupled blocks of h.
 
-    ``values``/``vectors`` are the positive-frequency eigenpairs of the
-    Hermitian matrix iK.  Degenerate frequencies are handled per cluster by
-    building an orthonormal real basis of the invariant subspace.
+    Read as (x, y, z) per ion, the axial pairs (z_k, p_zk) split off when
+    no entry of h couples them to the in-plane pairs, as for every planar
+    crystal (z = 0 exactly); otherwise the whole space is one block.
     """
-    order = np.argsort(values)
-    values = values[order]
-    vectors = vectors[:, order]
-    dim = kmat.shape[0]
-    columns = []
-    freqs = []
-    i = 0
-    while i < len(values):
-        j = i + 1
-        while j < len(values) and values[j] - values[i] <= cluster_tol * max(values[i], 1.0):
-            j += 1
-        cluster = vectors[:, i:j]
-        omega = float(values[i:j].mean())
-        span = np.concatenate([cluster.real, cluster.imag], axis=1)
-        q, r = np.linalg.qr(span)
-        keep = np.abs(np.diag(r)) > 1e-10 * np.abs(np.diag(r)).max()
-        basis = q[:, keep]
-        if basis.shape[1] != 2 * (j - i):
-            raise np.linalg.LinAlgError("degenerate cluster span has wrong rank")
-        taken = []
-        for _ in range(j - i):
-            seed = None
-            for col in range(basis.shape[1]):
-                cand = basis[:, col]
-                for t in taken:
-                    cand = cand - (t @ cand) * t
-                nrm = np.linalg.norm(cand)
-                if nrm > 1e-8:
-                    seed = cand / nrm
-                    break
-            if seed is None:
-                raise np.linalg.LinAlgError("failed to span degenerate cluster")
-            partner = -(kmat @ seed) / omega
-            for t in taken + [seed]:
-                partner = partner - (t @ partner) * t
-            partner /= np.linalg.norm(partner)
-            taken.extend([seed, partner])
-            columns.extend([seed, partner])
-            freqs.append(omega)
-        i = j
-    o_matrix = np.array(columns).T
-    return np.array(freqs), o_matrix
+    n_dof = h.shape[0] // 2
+    if n_dof % 3 == 0:
+        axial = np.repeat(np.arange(n_dof) % 3 == 2, 2)
+        if not h[np.ix_(axial, ~axial)].any():
+            return [("in-plane", np.flatnonzero(~axial)), ("axial", np.flatnonzero(axial))]
+    return [("full", np.arange(2 * n_dof))]
+
+
+def _williamson_block(chol, name):
+    """Frequencies (ascending) and symplectic S of one block H = L L^T.
+
+    The antisymmetric K = L^T J L has eigenvalues +/- i w.  A unit
+    eigenvector v of iK at +w satisfies v^T v' = 0 against every other
+    positive-frequency eigenvector (v-bar lies at -w), degenerate ones
+    included, so (sqrt2 Re v, -sqrt2 Im v) are orthonormal canonical pairs:
+    O^T K O = diag(w) J.  Then S = D^(1/2) O^T L^(-1) gives S H S^T = D and
+    S J S^T = J.
+    """
+    kmat = _times_j(chol.T) @ chol
+    kmat = 0.5 * (kmat - kmat.T)
+    half = len(chol) // 2
+    kvals, kvecs = np.linalg.eigh(1j * kmat)
+    freqs, vecs = kvals[half:], kvecs[:, half:]
+    o_matrix = np.empty_like(chol)
+    o_matrix[:, 0::2] = math.sqrt(2.0) * vecs.real
+    o_matrix[:, 1::2] = -math.sqrt(2.0) * vecs.imag
+    s_matrix = np.repeat(np.sqrt(freqs), 2)[:, None] * np.linalg.solve(chol.T, o_matrix).T
+
+    # one first-order polish on the symplectic manifold: with the antisymmetric
+    # defect E = S J S^T - J, the update (I + E J / 2) S cancels E to O(E^2)
+    jmat = symplectic_form(half)
+    defect = _times_j(s_matrix) @ s_matrix.T - jmat
+    s_matrix = s_matrix + 0.5 * _times_j(defect) @ s_matrix
+
+    resid_j = np.abs(_times_j(s_matrix) @ s_matrix.T - jmat).max()
+    if resid_j > 1e-10:
+        raise np.linalg.LinAlgError(
+            f"symplectic residual too large in the {name} block: {resid_j:.3e}"
+        )
+    return freqs, s_matrix
 
 
 def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> ModeSpectrum:
     """Williamson normal form of the (regularized) phase-space Hessian.
 
-    Builds H^(1/2), the antisymmetric K = H^(1/2) J H^(1/2), extracts its
-    canonical eigenstructure, and assembles the symplectic S with
+    Splits the Hessian into its exactly decoupled blocks (in-plane 4N and
+    axial 2N for a planar crystal, one 6N block otherwise), decomposes each
+    block on its own, and assembles the symplectic S with
     S H S^T = diag(w_1, w_1, ..., w_3N, w_3N) and S J S^T = J.
     """
     h = np.asarray(qh.matrix, dtype=float)
     if np.abs(h - h.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(h).max()):
         raise ValueError("Hessian is not symmetric")
     h = 0.5 * (h + h.T)
-    n_dof = h.shape[0] // 2
 
-    projector = _position_projector(qh.reference) if qh.reference is not None else None
-    regularize = projector is not None
-    h_reg = h + epsilon * projector if regularize else h
+    direction = _rotation_direction(qh.reference.positions) if qh.reference is not None else None
+    h_reg = h if direction is None else h + epsilon * np.outer(direction, direction)
 
-    evals, evecs = np.linalg.eigh(h_reg)
-    if evals[0] <= 0.0:
+    blocks = [(name, idx, h_reg[np.ix_(idx, idx)]) for name, idx in _decoupled_blocks(h_reg)]
+    factors, failed = [], []
+    for name, _, block in blocks:
+        try:
+            factors.append(np.linalg.cholesky(block))
+        except np.linalg.LinAlgError:
+            failed.append(f"{name} block has lowest eigenvalue {np.linalg.eigvalsh(block)[0]:.3e}")
+    if failed:
         raise ValueError(
-            f"Hessian not positive definite beyond the rotational zero mode: "
-            f"eigenvalue {evals[0]:.3e}"
+            "Hessian not positive definite beyond the rotational zero mode: " + "; ".join(failed)
         )
-    sqrt_h = (evecs * np.sqrt(evals)) @ evecs.T
-    inv_sqrt_h = (evecs / np.sqrt(evals)) @ evecs.T
 
-    jmat = symplectic_form(n_dof)
-    kmat = sqrt_h @ jmat @ sqrt_h
-    kmat = 0.5 * (kmat - kmat.T)
-
-    herm = 1j * kmat
-    kvals, kvecs = np.linalg.eigh(herm)
-    positive = kvals > 0
-    freqs, o_matrix = _canonical_pairs(kmat, kvals[positive], kvecs[:, positive])
-
-    d_half = np.repeat(np.sqrt(freqs), 2)
-    s_matrix = (d_half[:, None] * o_matrix.T) @ inv_sqrt_h
-
-    # one first-order polish on the symplectic manifold: with the antisymmetric
-    # defect E = S J S^T - J, the update (I + E J / 2) S cancels E to O(E^2)
-    defect = s_matrix @ jmat @ s_matrix.T - jmat
-    s_matrix = s_matrix + 0.5 * (defect @ jmat) @ s_matrix
-
-    resid_j = np.abs(s_matrix @ jmat @ s_matrix.T - jmat).max()
-    if resid_j > 1e-10:
-        raise np.linalg.LinAlgError(f"symplectic residual too large: {resid_j:.3e}")
+    freqs = []
+    s_matrix = np.zeros_like(h_reg)
+    row = 0
+    for (name, idx, _), chol in zip(blocks, factors):
+        block_freqs, block_s = _williamson_block(chol, name)
+        s_matrix[row : row + len(idx), idx] = block_s
+        freqs.append(block_freqs)
+        row += len(idx)
+    freqs = np.concatenate(freqs)
     coeffs = s_matrix[0::2, :] + 1j * s_matrix[1::2, :]
 
     regularized_mode = None
-    if regularize:
-        null = rotation_null_vector(qh.reference)
-        lam = -jmat @ s_matrix @ jmat @ null  # (S^-1)^T null via S J S^T = J
+    if direction is not None:
+        omega = minimal_coupling_rate(qh.reference.rotation_frequency)
+        null = _rotation_direction(qh.reference.positions, omega)  # the rigid rotation
+        lam = -_times_j(s_matrix @ _times_j(null))  # (S^-1)^T null = -J S J null
         weights = lam[0::2] ** 2 + lam[1::2] ** 2
         regularized_mode = int(np.argmax(weights))
 
@@ -321,15 +305,10 @@ def orthogonal_modes(state: CrystalState, regularize: bool = True):
     if abs(state.rotation_frequency - 0.5) > 1e-12:
         raise ValueError("orthogonal mode path requires alpha_r = 1/2")
     kpot = effective_potential_hessian(state.positions, 0.5, state.axial_ratio)
-    if regularize:
-        proj = _position_projector(state)
-        if proj is not None:
-            vec = np.zeros(3 * state.n_ions)
-            for k in range(state.n_ions):
-                vec[3 * k] = -state.positions[k, 1]
-                vec[3 * k + 1] = state.positions[k, 0]
-            vec /= np.linalg.norm(vec)
-            kpot = kpot + _REGULARIZATION * np.outer(vec, vec)
+    direction = _rotation_direction(state.positions) if regularize else None
+    if direction is not None:
+        vec = direction[0::2]
+        kpot = kpot + _REGULARIZATION * np.outer(vec, vec)
     evals, evecs = np.linalg.eigh(kpot)
     if evals[0] < -1e-10:
         raise ValueError(f"potential Hessian has a negative curvature: {evals[0]:.3e}")

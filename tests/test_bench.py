@@ -134,6 +134,24 @@ def test_run_experiment_deterministic(tmp_path):
         assert getattr(art_a, name).read_bytes() == getattr(art_b, name).read_bytes()
 
 
+def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
+    from penninggate import gate
+
+    calls = []
+    original = gate.phase_kernel
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gate, "phase_kernel", counted)
+    artifacts = run_experiment(small_config(tmp_path))
+    assert len(calls) == 1
+    assert abs(abs(artifacts.gate.theta) - np.pi) < 1e-12
+    manifest = artifacts.manifest_file.read_text().splitlines()
+    assert any(line.startswith("# blas_threads OPENBLAS_NUM_THREADS=") for line in manifest)
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     config = small_config(tmp_path)
     artifacts = run_experiment(config)

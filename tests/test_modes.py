@@ -1,6 +1,7 @@
 """Phase-space Hessian, Williamson decomposition, and band classification."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,12 +17,16 @@ from penninggate import (
     trap_frequencies,
     williamson,
 )
+from penninggate.crystal import effective_potential_hessian, hex_lattice
 from penninggate.modes import (
     QuadraticHamiltonian,
+    _decoupled_blocks,
     equilibrium_momenta,
+    minimal_coupling_rate,
     phase_space_hamiltonian,
     symplectic_form,
 )
+from penninggate.scales import StabilityClass, get_species, stability_class
 
 TWO_PI = 2 * math.pi
 
@@ -90,6 +95,35 @@ def test_hessian_matches_finite_differences(eq_five):
     assert np.abs(qh.matrix - fd).max() < 1e-6
 
 
+def loop_hessian(state):
+    """Per-ion loop assembly of the phase-space Hessian, kept as the
+    reference for the vectorized build_hessian."""
+    n = state.n_ions
+    omega = minimal_coupling_rate(state.rotation_frequency)
+    qq = effective_potential_hessian(state.positions, state.rotation_frequency,
+                                     state.axial_ratio)
+    for k in range(n):
+        qq[3 * k, 3 * k] += omega**2
+        qq[3 * k + 1, 3 * k + 1] += omega**2
+    h = np.zeros((6 * n, 6 * n))
+    pos = [2 * m for m in range(3 * n)]
+    mom = [2 * m + 1 for m in range(3 * n)]
+    h[np.ix_(pos, pos)] = qq
+    h[np.ix_(mom, mom)] = np.eye(3 * n)
+    for k in range(n):
+        x, px, y, py = 6 * k, 6 * k + 1, 6 * k + 2, 6 * k + 3
+        h[px, y] += omega
+        h[y, px] += omega
+        h[py, x] -= omega
+        h[x, py] -= omega
+    return h
+
+
+def test_hessian_bit_identical_to_loop_reference(eq_five, eq_high):
+    for state in (eq_five, eq_high):
+        assert np.array_equal(build_hessian(state).matrix, loop_hessian(state))
+
+
 def test_hessian_rejects_unconverged(eq_five):
     from dataclasses import replace
 
@@ -120,6 +154,81 @@ def test_williamson_rejects_indefinite():
     h = np.diag([4.0, 1.0, -0.5, 1.0])
     with pytest.raises(ValueError, match="positive definite"):
         williamson(QuadraticHamiltonian(matrix=h, reference=None))
+
+
+def test_williamson_names_the_indefinite_axial_block(eq_high):
+    from dataclasses import replace
+
+    # compressed to half size the Coulomb push overwhelms the axial trap
+    squeezed = replace(eq_high, positions=0.5 * eq_high.positions)
+    qh = build_hessian(squeezed)
+    axial = np.repeat(np.arange(3 * eq_high.n_ions) % 3 == 2, 2)
+    lowest = np.linalg.eigvalsh(qh.matrix[np.ix_(axial, axial)])[0]
+    assert lowest < 0.0
+    with pytest.raises(ValueError, match="positive definite") as info:
+        williamson(qh)
+    match = re.search(r"axial block has lowest eigenvalue (\S+)", str(info.value))
+    assert match is not None
+    assert float(match.group(1)) == pytest.approx(lowest, rel=1e-3)
+
+
+def jh_oracle(spectrum):
+    """Independent frequencies: sorted |Im eig(J H)| of the regularized
+    Hessian, one of each +/- pair."""
+    jmat = symplectic_form(3 * spectrum.reference.n_ions)
+    return np.sort(np.abs(np.linalg.eigvals(jmat @ spectrum.hessian).imag))[::2]
+
+
+@pytest.fixture(scope="module")
+def spectrum_n100():
+    # warm-started planar N = 100 crystal: a 5 % jittered hexagonal lattice
+    # sized to P_theta, at beta ~ 0.035 below beta_c = 0.0665
+    setup = TrapSetup(get_species("Be+").species, TWO_PI * 7.608e6, 0.02, 100)
+    p_theta = 1.2e6
+    lattice = hex_lattice(100)
+    spacing = math.sqrt(2.0 * p_theta / float(np.sum(lattice**2)))
+    start = np.zeros((100, 3))
+    start[:, :2] = spacing * lattice
+    start += 0.05 * spacing * np.random.default_rng(7).standard_normal((100, 3))
+    state = find_equilibrium(setup, p_theta, initial_positions=start)
+    assert stability_class(state.anisotropy, 100) is StabilityClass.PLANAR_2D
+    return williamson(build_hessian(state))
+
+
+def test_planar_n100_matches_jh_oracle(spectrum_n100):
+    assert np.abs(np.sort(spectrum_n100.frequencies) - jh_oracle(spectrum_n100)).max() < 1e-10
+
+
+def test_planar_symplectic_has_no_axial_inplane_entries(spectrum_high, spectrum_n100):
+    for spec in (spectrum_high, spectrum_n100):
+        n = spec.reference.n_ions
+        axial_cols = np.repeat(np.arange(3 * n) % 3 == 2, 2)
+        s = spec.symplectic
+        touches_axial = np.any(s[:, axial_cols] != 0.0, axis=1)
+        axial_modes = touches_axial[0::2] | touches_axial[1::2]
+        axial_rows = np.repeat(axial_modes, 2)
+        assert axial_modes.sum() == n
+        assert not np.any(s[np.ix_(axial_rows, ~axial_cols)])
+        assert not np.any(s[np.ix_(~axial_rows, axial_cols)])
+
+
+def test_axial_block_modes_are_the_axial_band(spectrum_high, bands_high):
+    axial_cols = np.repeat(np.arange(3 * spectrum_high.reference.n_ions) % 3 == 2, 2)
+    rows = np.any(spectrum_high.symplectic[:, axial_cols] != 0.0, axis=1)
+    labels = np.array(bands_high.labels)
+    assert np.array_equal(rows[0::2], labels == "axial")
+
+
+def test_three_dimensional_crystal_takes_the_full_block(beryllium):
+    setup = TrapSetup(beryllium, TWO_PI * 7.608e6, 0.02, 8)
+    state = find_equilibrium(setup, 2000.0, default_schedule(setup, 2000.0, seed=3))
+    assert stability_class(state.anisotropy, 8) is StabilityClass.CONFINED_3D
+    assert np.abs(state.positions[:, 2]).max() > 1.0
+    spec = williamson(build_hessian(state))
+    assert [name for name, _ in _decoupled_blocks(spec.hessian)] == ["full"]
+    jmat = symplectic_form(3 * state.n_ions)
+    assert np.abs(spec.symplectic @ jmat @ spec.symplectic.T - jmat).max() < 1e-10
+    assert np.abs(np.sort(spec.frequencies) - jh_oracle(spec)).max() < 1e-10
 
 
 def test_williamson_reconstruction_and_diagonality(spectrum_high):
