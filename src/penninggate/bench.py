@@ -34,6 +34,7 @@ from .crystal import (
     effective_potential,
     effective_potential_gradient,
     find_equilibrium,
+    reduced_energy,
 )
 from .gate import (
     GateResult,
@@ -45,7 +46,7 @@ from .gate import (
     residual_displacement,
 )
 from .modes import build_hessian, classify_bands, williamson
-from .scales import TrapSetup, get_species
+from .scales import TrapSetup, beta_critical, get_species
 
 _FMT = "{:.17g}"
 
@@ -75,8 +76,8 @@ class ExperimentConfig:
     sigma_fraction: float | None = None
     carrier_cycles: float = 9.0
     tune_carrier: bool = False
-    anneal_cycles: int | None = None
-    anneal_steps: int | None = None
+    anneal_cycles: int | None = None   # search starts
+    anneal_steps: int | None = None    # L-BFGS iteration cap per start
     seed: int = 0
     out_dir: str = "runs"
 
@@ -247,6 +248,16 @@ def load_state(path, grad_tol=1e-10) -> CrystalState:
     return state
 
 
+def _require_planar(state: CrystalState) -> CrystalState:
+    """The mode, gate and sweep stages assume a single-plane crystal, which
+    needs beta < beta_c(N); a lone ion always qualifies."""
+    beta_c = beta_critical(state.n_ions)
+    if state.n_ions > 1 and state.anisotropy >= beta_c:
+        raise ValueError(f"crystal is not planar: beta = {state.anisotropy:.6g} >= "
+                         f"beta_c = {beta_c:.6g} at N = {state.n_ions}")
+    return state
+
+
 def select_pair(state: CrystalState, rule="innermost"):
     """Driven ion pair: the innermost ion and its nearest neighbour, or
     explicit ``indices:i,j``."""
@@ -351,6 +362,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     try:
         state = find_equilibrium(setup, config.p_theta, config.schedule())
         save_state(state, paths["equilibrium"])
+        _require_planar(state)
 
         stage = "modes"
         spectrum = williamson(build_hessian(state))
@@ -420,10 +432,10 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
         paths["phase"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     except Exception as exc:
         (out / "FAILED").write_text(f"{stage}: {exc}\n")
-        _write_manifest(paths["manifest"], config, started, failed=stage)
+        _write_manifest(paths["manifest"], config, started, state, failed=stage)
         raise StageError(stage, str(exc)) from exc
 
-    _write_manifest(paths["manifest"], config, started)
+    _write_manifest(paths["manifest"], config, started, state)
     return RunArtifacts(
         out_dir=out,
         equilibrium_file=paths["equilibrium"],
@@ -448,11 +460,18 @@ def _gate_spec(config: ExperimentConfig, pair, nu, tau_g):
     )
 
 
-def _write_manifest(path, config, started, failed=None):
+def _write_manifest(path, config, started, state=None, failed=None):
     threads = " ".join(f"{name}={os.environ.get(name, 'unset')}"
                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
     lines = [f"# penninggate {__version__}", f"# elapsed_s {time.time() - started:.3f}",
              f"# blas_threads {threads}"]
+    if state is not None:
+        e_red = reduced_energy(state.positions, config.p_theta, state.axial_ratio)
+        lines.append(
+            f"# equilibrium e_red={_FMT.format(e_red)} gradient_norm={state.gradient_norm:.3e}"
+            f" refine_iterations={state.refine_iterations}"
+            f" ptheta_mismatch={state.angular_momentum - config.p_theta:.3e}"
+        )
     if failed:
         lines.append(f"# failed_stage {failed}")
     lines.extend(config_lines(config))
@@ -473,11 +492,17 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
         raise ValueError("empty sweep grid")
     setup = config.setup()
 
+    def planar_state(p_theta, **kwargs):
+        try:
+            return _require_planar(find_equilibrium(setup, p_theta, **kwargs))
+        except (RuntimeError, ValueError) as exc:
+            raise StageError("equilibrium", str(exc)) from exc
+
     if parameter == "p_theta":
-        base = find_equilibrium(setup, float(grid[0]), config.schedule())
+        base = planar_state(float(grid[0]), schedule=config.schedule())
 
         def point(value):
-            state = find_equilibrium(setup, float(value), initial_positions=base.positions)
+            state = planar_state(float(value), initial_positions=base.positions)
             return {
                 "p_theta": value,
                 "omega_r_over_omega_c": state.rotation_frequency,
@@ -487,7 +512,7 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
         header = ["p_theta", "omega_r_over_omega_c", "beta", "energy", "status"]
     else:
-        state = find_equilibrium(setup, config.p_theta, config.schedule())
+        state = planar_state(config.p_theta, schedule=config.schedule())
         spectrum = williamson(build_hessian(state))
         bands = classify_bands(spectrum, setup)
         pair = select_pair(state, config.pair_rule)

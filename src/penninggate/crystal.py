@@ -11,10 +11,15 @@ rotate slower than omega_c/2,
     P_theta = sum_k r_k^2 * (1/2 - alpha_r),
 
 so that P_theta = 0 picks the frame without magnetic field in the rotating
-frame.  Equilibria at fixed P_theta are found by a Metropolis anneal of the
-reduced (momentum-eliminated) energy followed by damped Newton refinement of
-the corotating-frame effective potential at fixed alpha_r, with an outer
-scalar root-find matching the target P_theta.
+frame.  Equilibria at fixed P_theta are found in three steps:
+
+* a multi-start L-BFGS search of the reduced (momentum-eliminated) energy,
+  each start a jittered planar hexagonal lattice whose spacing the virial
+  relation sizes to carry P_theta;
+* damped Newton refinement of the lowest candidate's corotating-frame
+  effective potential at fixed alpha_r;
+* an outer scalar root-find for the alpha_r whose refined crystal carries the
+  target P_theta.
 """
 
 from __future__ import annotations
@@ -60,30 +65,27 @@ class CrystalState:
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Metropolis annealing parameters.
+    """Budget of the multi-start equilibrium search (``anneal``).
 
-    ``steps_per_cycle = 0`` is allowed as the degenerate schedule that
-    returns the seed configuration unchanged.
+    ``cycles`` is the number of starts, one candidate each;
+    ``steps_per_cycle`` caps the L-BFGS iterations of one start, and 0
+    returns the starts unchanged; ``step_size`` is the standard deviation
+    of the Gaussian jitter added to every coordinate of the hexagonal seed;
+    ``seed`` fixes that jitter.
     """
 
-    initial_temperature: float
-    decay_factor: float
     cycles: int
     steps_per_cycle: int
     step_size: float
     seed: int
 
     def __post_init__(self):
-        if self.initial_temperature <= 0:
-            raise ValueError("initial temperature must be positive")
-        if not 0.0 < self.decay_factor < 1.0:
-            raise ValueError("decay factor must lie in (0, 1)")
         if self.cycles < 1:
             raise ValueError("cycle count must be at least 1")
         if self.steps_per_cycle < 0:
             raise ValueError("steps per cycle must be nonnegative")
         if self.step_size <= 0:
-            raise ValueError("proposal step size must be positive")
+            raise ValueError("seed jitter must be positive")
 
 
 def _pair_distances(positions):
@@ -200,6 +202,29 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
     return trap + coulomb_energy(positions) + rot
 
 
+def _reduced_energy_and_gradient(positions, p_theta, axial_ratio):
+    """Reduced energy and its analytic gradient, shape (N, 3), from one
+    pair-distance pass."""
+    diff = [positions[:, None, mu] - positions[None, :, mu] for mu in range(3)]
+    dist2 = diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2
+    np.fill_diagonal(dist2, np.inf)
+    inv = 1.0 / np.sqrt(dist2)
+    inv3 = inv**3
+    r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
+    inertia = float(np.sum(r2))
+    kappa = (1.0 - 2.0 * axial_ratio**2) / 8.0
+    rot = p_theta**2 / (2.0 * inertia) if p_theta != 0.0 else 0.0
+    energy = (float(np.sum(0.5 * axial_ratio**2 * positions[:, 2] ** 2 + kappa * r2))
+              + 0.5 * float(inv.sum()) + rot)
+    # d(P^2 / 2I) / dx_k = -(P^2 / I^2) x_k = -(2 rot / I) x_k
+    radial = 2.0 * kappa - (2.0 * rot / inertia if rot else 0.0)
+    grad = np.column_stack([radial * positions[:, 0], radial * positions[:, 1],
+                            axial_ratio**2 * positions[:, 2]])
+    for mu in range(3):
+        grad[:, mu] -= np.sum(diff[mu] * inv3, axis=1)
+    return energy, grad
+
+
 def _state_from_positions(positions, p_theta, axial_ratio, converged=False, iterations=None):
     alpha_r = rotation_frequency_from_ptheta(positions, p_theta)
     beta = beta_from_ratio(alpha_r, axial_ratio)
@@ -237,161 +262,101 @@ def hex_lattice(n_ions):
     return sites - sites.mean(axis=0)
 
 
-def _consistent_scale(setup: TrapSetup, p_theta):
-    """Damped self-consistent estimate of the crystal scale at fixed P_theta.
+def _seed_spacing(setup: TrapSetup, p_theta):
+    """Spacing and anisotropy of the hexagonal lattice that carries P_theta.
 
-    Returns (nearest-neighbour scale, anisotropy) of a hexagonal trial
-    lattice whose rigid-body angular momentum matches the target.
+    With positions a L (L the unit-spacing lattice), uniform-dilation
+    stationarity gives the virial anisotropy beta(a) = V_C(L) / (alpha_z^2
+    I(L) a^3), and the rigid rotor at that beta carries
+
+        P_theta(a) = (a^2 I(L) / 2) sqrt(1 - 4 alpha_z^2 (beta(a) + 1/2)),
+
+    which rises from 0 at a_min, where beta(a_min) = beta_max.  Returns
+    (a, beta(a)) at the root of P_theta(a) = |p_theta|.
     """
+    from scipy.optimize import brentq
+
     alpha_z = setup.axial_ratio
-    lattice = hex_lattice(setup.ion_count)
-    unit_inertia = max(float(np.sum(lattice**2)), 1.0)
     beta_max = beta_from_ratio(0.5, alpha_z)
-    beta = beta_max
-    scale = (2.0 / (alpha_z**2 * beta)) ** (1.0 / 3.0)
-    for _ in range(200):
-        inertia = scale**2 * unit_inertia
-        alpha_r = 0.5 if p_theta == 0.0 else 0.5 - p_theta / inertia
-        beta = max(beta_from_ratio(alpha_r, alpha_z), 1e-9 * beta_max)
-        target = (2.0 / (alpha_z**2 * beta)) ** (1.0 / 3.0)
-        scale = math.sqrt(scale * target)  # geometric damping against cycling
-    return scale, beta
+    lattice = hex_lattice(setup.ion_count)
+    inertia = float(np.sum(lattice**2))
+    if inertia <= 0.0:  # a single ion: no Coulomb scale
+        return 1.0, beta_max
+    coulomb = coulomb_energy(lattice)
+
+    def beta_at(a):
+        return coulomb / (alpha_z**2 * inertia * a**3)
+
+    def mismatch(a):
+        s2 = max(1.0 - 4.0 * alpha_z**2 * (beta_at(a) + 0.5), 0.0)
+        return 0.5 * a**2 * inertia * math.sqrt(s2) - abs(p_theta)
+
+    a_min = (coulomb / (alpha_z**2 * inertia * beta_max)) ** (1.0 / 3.0)
+    if p_theta == 0.0:
+        return a_min, beta_max
+    a_hi = 2.0 * a_min
+    while mismatch(a_hi) < 0.0:
+        a_hi *= 2.0
+    a = brentq(mismatch, a_min, a_hi, xtol=1e-12 * a_hi)
+    return a, beta_at(a)
 
 
-def _seed_positions(setup: TrapSetup, p_theta, rng):
-    """Hexagonal seed scaled to the self-consistent crystal size."""
-    alpha_z = setup.axial_ratio
+def _seed_positions(setup: TrapSetup, p_theta):
+    """Planar hexagonal lattice at the virial spacing of ``_seed_spacing``."""
     n = setup.ion_count
-    lattice = hex_lattice(n)
-    scale, beta = _consistent_scale(setup, p_theta)
-    if stability_class(beta, n) is StabilityClass.CONFINED_3D and n > 1:
-        # radial confinement dominates: seed as an axial chain instead
-        spacing = (2.0 / alpha_z**2) ** (1.0 / 3.0) * n ** (-2.0 / 3.0) * 2.0
-        positions = np.zeros((n, 3))
-        positions[:, 2] = spacing * (np.arange(n) - 0.5 * (n - 1))
-        positions += 0.05 * spacing * rng.standard_normal((n, 3))
-        return positions
+    spacing, _ = _seed_spacing(setup, p_theta)
     positions = np.zeros((n, 3))
-    positions[:, :2] = scale * lattice
-    positions += 0.05 * scale * rng.standard_normal((n, 3))
+    positions[:, :2] = spacing * hex_lattice(n)
     return positions
 
 
 def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule, initial_positions=None):
-    """Metropolis anneal of the reduced energy at fixed angular momentum.
+    """Multi-start L-BFGS search of the reduced energy at fixed P_theta.
 
-    Single-ion Gaussian displacement proposals; the step size is rescaled
-    after every cycle to keep the acceptance ratio near one half.  Returns
-    the lowest-energy configuration visited in each cycle, i.e. the annealing
-    trajectory coarse-grained into ``cycles`` intervals.  Deterministic for a
-    fixed schedule seed.
+    Each of the ``schedule.cycles`` starts is a planar hexagonal seed at the
+    virial spacing, jittered by ``schedule.step_size`` from
+    ``schedule.seed``; ``initial_positions``, when given, is every start
+    instead, unjittered.  Each start runs L-BFGS-B with the analytic gradient
+    for at most ``schedule.steps_per_cycle`` iterations at scipy's default
+    tolerances, since Newton refinement finishes the job.  Those stop short
+    of the basin minimum by more than the gaps between basins once N is
+    about 60 or more, so there the candidates' energies rank their basins
+    only roughly.  Returns one candidate per start, in start order.
+    Deterministic for a fixed schedule seed.
     """
-    rng = np.random.default_rng(schedule.seed)
+    from scipy.optimize import minimize
+
     alpha_z = setup.axial_ratio
     n = setup.ion_count
-    if initial_positions is not None:
-        pos = np.array(initial_positions, dtype=float).reshape(n, 3)
-    else:
-        pos = _seed_positions(setup, p_theta, rng)
 
-    kappa = (1.0 - 2.0 * alpha_z**2) / 8.0
+    def objective(flat):
+        energy, grad = _reduced_energy_and_gradient(flat.reshape(n, 3), p_theta, alpha_z)
+        return energy, grad.reshape(-1)
 
-    def trap_term(point):
-        return 0.5 * alpha_z**2 * point[2] ** 2 + kappa * (point[0] ** 2 + point[1] ** 2)
-
-    _, dist = _pair_distances(pos)
-    np.fill_diagonal(dist, np.inf)
-    coul_rows = (1.0 / dist).sum(axis=1)
-    inertia = float(np.sum(pos[:, 0] ** 2 + pos[:, 1] ** 2))
-
-    def rot_term(iner):
-        if p_theta == 0.0:
-            return 0.0
-        return math.inf if iner <= 0.0 else p_theta**2 / (2.0 * iner)
-
-    energy = float(np.array([trap_term(p) for p in pos]).sum()) + 0.5 * float(coul_rows.sum()) + rot_term(inertia)
-
-    temperature = schedule.initial_temperature
-    step = schedule.step_size
-    candidates = []
-    for _ in range(schedule.cycles):
-        best_energy = energy
-        best_pos = pos.copy()
-        accepted = 0
-        for _ in range(schedule.steps_per_cycle):
-            i = int(rng.integers(n))
-            prop = pos[i] + step * rng.standard_normal(3)
-            delta = pos - prop
-            dnew = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-            dnew[i] = np.inf
-            if dnew.min() < _MIN_SEPARATION:
-                continue
-            coul_new = float((1.0 / dnew).sum())
-            inertia_new = inertia - (pos[i, 0] ** 2 + pos[i, 1] ** 2) + (prop[0] ** 2 + prop[1] ** 2)
-            de = (
-                trap_term(prop)
-                - trap_term(pos[i])
-                + coul_new
-                - coul_rows[i]
-                + rot_term(inertia_new)
-                - rot_term(inertia)
-            )
-            if de <= 0.0 or rng.random() < math.exp(-min(de / temperature, 700.0)):
-                dold = dist[i].copy()
-                dist[i, :] = dnew
-                dist[:, i] = dnew
-                coul_rows += 1.0 / dnew - 1.0 / dold
-                coul_rows[i] = coul_new
-                pos[i] = prop
-                inertia = inertia_new
-                energy += de
-                accepted += 1
-                if energy < best_energy:
-                    best_energy = energy
-                    best_pos = pos.copy()
-        candidates.append(_state_from_positions(best_pos, p_theta, alpha_z))
-        temperature *= schedule.decay_factor
+    def search(start):
         if schedule.steps_per_cycle:
-            ratio = accepted / schedule.steps_per_cycle
-            step *= min(2.0, max(0.5, ratio / 0.5 if ratio > 0 else 0.5))
-    return candidates
+            result = minimize(objective, start.reshape(-1), jac=True, method="L-BFGS-B",
+                              options={"maxiter": schedule.steps_per_cycle})
+            start = result.x.reshape(n, 3)
+        return _state_from_positions(start, p_theta, alpha_z)
 
-
-def _pin_basis(positions):
-    """Orthonormal reduced basis with one azimuthal direction removed.
-
-    The outermost ion's local azimuthal displacement is frozen, which removes
-    the global-rotation null direction from the Newton system without moving
-    the minimum.
-    """
-    n = len(positions)
-    radii = np.hypot(positions[:, 0], positions[:, 1])
-    pin = int(np.argmax(radii))
-    if radii[pin] <= 0.0:
-        return None, pin
-    cos_t = positions[pin, 0] / radii[pin]
-    sin_t = positions[pin, 1] / radii[pin]
-    basis = np.zeros((3 * n, 3 * n - 1))
-    col = 0
-    for k in range(n):
-        if k == pin:
-            basis[3 * k, col] = cos_t
-            basis[3 * k + 1, col] = sin_t
-            col += 1
-            basis[3 * k + 2, col] = 1.0
-            col += 1
-        else:
-            for mu in range(3):
-                basis[3 * k + mu, col] = 1.0
-                col += 1
-    return basis, pin
+    if initial_positions is not None:
+        # identical starts give identical candidates: search once
+        start = np.array(initial_positions, dtype=float).reshape(n, 3)
+        return [search(start)] * schedule.cycles
+    lattice = _seed_positions(setup, p_theta)
+    rng = np.random.default_rng(schedule.seed)
+    return [search(lattice + schedule.step_size * rng.standard_normal((n, 3)))
+            for _ in range(schedule.cycles)]
 
 
 def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> CrystalState:
     """Damped Newton minimization of the effective potential at fixed alpha_r.
 
     Energy never increases along the iteration (backtracking line search with
-    Levenberg fallback when the reduced Hessian is not positive definite).
+    a Levenberg shift when the Hessian is not positive definite; the shift
+    carries over to the next iteration, a tenth smaller).  The global-rotation
+    null direction t is removed with the rank-one projector 1 - t t^T.
     Converged means the full 3N gradient norm dropped below ``grad_tol``; on
     planar configurations the axial coordinates are snapped to the symmetry
     plane once they are already small.
@@ -404,31 +369,31 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
 
     def refine_loop(pos, iterations):
         energy = effective_potential(pos, alpha_r, alpha_z)
+        shift = 0.0
         for _ in range(max_iter):
             grad = effective_potential_gradient(pos, alpha_r, alpha_z)
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < grad_tol:
-                return pos, iterations, True
-            basis, _ = _pin_basis(pos)
-            hess = effective_potential_hessian(pos, alpha_r, alpha_z)
             gflat = grad.reshape(-1)
-            if basis is not None:
-                hred = basis.T @ hess @ basis
-                gred = basis.T @ gflat
-            else:
-                hred, gred = hess, gflat
-            shift = 0.0
-            scale = float(np.abs(np.diag(hred)).max()) or 1.0
+            if float(np.linalg.norm(gflat)) < grad_tol:
+                return pos, iterations, True
+            hess = effective_potential_hessian(pos, alpha_r, alpha_z)
+            scale = float(np.abs(np.diag(hess)).max()) or 1.0
+            axis = np.column_stack([-pos[:, 1], pos[:, 0], np.zeros(n)]).ravel()
+            if axis @ axis > 0.0:
+                # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
+                axis = axis / np.linalg.norm(axis)
+                ht = hess @ axis
+                hess = (hess - np.outer(axis, ht) - np.outer(ht, axis)
+                        + (axis @ ht + scale) * np.outer(axis, axis))
             for _ in range(30):
                 try:
-                    chol = np.linalg.cholesky(hred + shift * np.eye(len(hred)))
+                    chol = np.linalg.cholesky(hess + shift * np.eye(3 * n))
                     break
                 except np.linalg.LinAlgError:
                     shift = max(2.0 * shift, 1e-12 * scale) * 10.0
             else:
                 return pos, iterations, False
-            sred = np.linalg.solve(chol.T, np.linalg.solve(chol, -gred))
-            step = (basis @ sred if basis is not None else sred).reshape(n, 3)
+            step = np.linalg.solve(chol.T, np.linalg.solve(chol, -gflat)).reshape(n, 3)
+            shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
             slope = float(gflat @ step.reshape(-1))
             t = 1.0
             for _ in range(40):
@@ -473,26 +438,23 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
 
 
 def default_schedule(setup: TrapSetup, p_theta=0.0, seed=0) -> AnnealSchedule:
-    """Scale-aware annealing defaults for crystals up to N ~ 100."""
-    d0, _ = _consistent_scale(setup, p_theta)
-    return AnnealSchedule(
-        initial_temperature=0.3 / d0,
-        decay_factor=0.55,
-        cycles=12,
-        steps_per_cycle=300 * setup.ion_count,
-        step_size=0.4 * d0,
-        seed=seed,
-    )
+    """Search defaults: 12 starts of at most 1000 L-BFGS iterations each,
+    jittered by a tenth of the virial lattice spacing."""
+    spacing, _ = _seed_spacing(setup, p_theta)
+    return AnnealSchedule(cycles=12, steps_per_cycle=1000, step_size=0.1 * spacing, seed=seed)
 
 
 def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None = None,
                      initial_positions=None, grad_tol=1e-10) -> CrystalState:
     """Self-consistent equilibrium at fixed canonical angular momentum.
 
-    Anneals (unless seeded with initial positions), refines, then solves the
-    scalar root-find for the rotation frequency whose refined configuration
-    carries the requested P_theta.  The inner minimizations are warm-started
-    with the exact planar scaling positions ~ beta^(-1/3).
+    Unless seeded with initial positions, runs the multi-start search
+    (``anneal``) and refines only its lowest-reduced-energy candidate,
+    falling back to the next one only when a refinement fails.  The
+    refinement is Newton at fixed rotation frequency inside a scalar
+    root-find for the rotation frequency whose refined configuration carries
+    the requested P_theta; its inner minimizations are warm-started with the
+    exact planar scaling positions ~ beta^(-1/3).
     """
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0
@@ -505,22 +467,17 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None 
             schedule = default_schedule(setup, target)
         candidates = anneal(setup, target, schedule)
         ranked = sorted(candidates, key=lambda c: reduced_energy(c.positions, target, alpha_z))
-        seeds = [c.positions for c in ranked[:3]]
+        seeds = [c.positions for c in ranked]
 
-    best = None
     failure = None
     for seed in seeds:
         try:
-            state = _solve_at_fixed_ptheta(seed, target, alpha_z, grad_tol)
+            final = _solve_at_fixed_ptheta(seed, target, alpha_z, grad_tol)
+            break
         except (RuntimeError, ValueError) as exc:
             failure = exc
-            continue
-        score = reduced_energy(state.positions, target, alpha_z)
-        if best is None or score < best[0]:
-            best = (score, state)
-    if best is None:
-        raise RuntimeError(f"annealing produced no refinable candidate ({failure})")
-    final = best[1]
+    else:
+        raise RuntimeError(f"no search candidate could be refined ({failure})")
 
     if mirror:
         final = replace(
@@ -549,12 +506,13 @@ def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
     Alternates Newton refinement at fixed alpha_r with a closed-form solve of
     the scaling model I(beta) = I_a (beta_a / beta)^(2/3) anchored on the last
     refined configuration; for planar crystals the model is exact, so the
-    iteration converges in a couple of refinements.
+    iteration converges in a couple of refinements.  The returned state's
+    ``refine_iterations`` counts the Newton steps of every refinement.
     """
     from scipy.optimize import brentq
 
     beta_max = beta_from_ratio(0.5, alpha_z)
-    cache = {"positions": np.array(seed_positions, dtype=float), "beta": None}
+    cache = {"positions": np.array(seed_positions, dtype=float), "beta": None, "steps": 0}
 
     def refined_at(alpha_r):
         beta = beta_from_ratio(alpha_r, alpha_z)
@@ -578,7 +536,8 @@ def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
             raise RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
         cache["positions"] = state.positions
         cache["beta"] = beta
-        return state
+        cache["steps"] += state.refine_iterations
+        return replace(state, refine_iterations=cache["steps"])
 
     if target == 0.0:
         cache["beta"] = _implied_anisotropy(cache["positions"], alpha_z)

@@ -292,7 +292,13 @@ class PhaseResult:
 def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
                     setup: TrapSetup, ion_scales=(1.0, 1.0)) -> PhaseResult:
     """Accumulated phases for the four logical states and their gate combination
-    theta = theta_00 - theta_01 - theta_10 + theta_11."""
+    theta = theta_00 - theta_01 - theta_10 + theta_11.
+
+    theta is formed as its algebraic equal |F|^2 sum_k 8 Re(w1 w2*) G_k, with
+    the scalar force factor |F|^2 applied after the mode sum, so that theta
+    scales with the amplitude as exactly as one product can.  The mode sum
+    itself still cancels: at the fig4 point its terms reach about 1e4 while
+    theta is pi."""
     kernel = phase_kernel(spec, spectrum, setup)
     couplings = pair_couplings(spec, spectrum, state, setup)
     prefactor = _force_prefactor(spec, state, setup)
@@ -303,9 +309,10 @@ def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
     for label, (s1, s2) in SIGN_CONFIGS.items():
         weights = s1 * w1 + s2 * w2
         by_state[label] = float(np.sum(np.abs(prefactor * weights) ** 2 * kernel))
-    theta = by_state["00"] - by_state["01"] - by_state["10"] + by_state["11"]
-    cross = 8.0 * np.real(w1 * np.conj(w2)) * np.abs(prefactor) ** 2 * kernel
-    return PhaseResult(theta=float(theta), by_state=by_state, mode_phases=cross)
+    cross = 8.0 * np.real(w1 * np.conj(w2)) * kernel
+    force2 = abs(prefactor) ** 2
+    return PhaseResult(theta=float(force2 * cross.sum()), by_state=by_state,
+                       mode_phases=force2 * cross)
 
 
 def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,

@@ -152,6 +152,32 @@ def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
     assert any(line.startswith("# blas_threads OPENBLAS_NUM_THREADS=") for line in manifest)
 
 
+def test_run_experiment_refuses_a_three_dimensional_crystal(tmp_path):
+    # N = 8 at P_theta = 2000 equilibrates at beta = 0.48 > beta_c(8) = 0.235
+    config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3)
+    with pytest.raises(StageError, match=r"\[equilibrium\] crystal is not planar: "
+                                         r"beta = 0\.48\d* >= beta_c = 0\.235\d* at N = 8"):
+        run_experiment(config)
+    out = Path(config.out_dir)
+    assert (out / "FAILED").read_text().startswith("equilibrium:")
+    assert not (out / "spectrum.csv").exists()
+    with pytest.raises(StageError, match="not planar"):
+        sweep(config, "T", [1e-3])
+
+
+def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
+    artifacts = run_experiment(small_config(tmp_path))
+    lines = artifacts.manifest_file.read_text().splitlines()
+    trust = [line for line in lines if line.startswith("# equilibrium ")]
+    assert len(trust) == 1
+    fields = dict(item.split("=") for item in trust[0].split()[2:])
+    assert set(fields) == {"e_red", "gradient_norm", "refine_iterations", "ptheta_mismatch"}
+    assert float(fields["gradient_norm"]) <= 1e-10
+    assert int(fields["refine_iterations"]) >= 1
+    assert abs(float(fields["ptheta_mismatch"])) <= 1e-10 * 5000.0
+    assert parse_config(artifacts.manifest_file) == small_config(tmp_path)
+
+
 def test_sweep_single_point_matches_run(tmp_path):
     config = small_config(tmp_path)
     artifacts = run_experiment(config)

@@ -1,4 +1,5 @@
-"""Equilibrium search: potentials, angular momentum, annealing, refinement."""
+"""Equilibrium search: potentials, angular momentum, multi-start search,
+refinement."""
 
 import math
 from pathlib import Path
@@ -22,8 +23,12 @@ from penninggate import (
 )
 from penninggate.crystal import (
     CrystalState,
+    _implied_anisotropy,
+    _reduced_energy_and_gradient,
+    _seed_positions,
     effective_potential,
     effective_potential_gradient,
+    hex_lattice,
     reduced_energy,
 )
 from penninggate.modes import build_hessian, orthogonal_modes, williamson
@@ -124,10 +129,7 @@ def test_anneal_two_ions_near_oracle(small_pair_setup):
 
 
 def test_anneal_zero_steps_returns_seed(small_pair_setup):
-    schedule = AnnealSchedule(
-        initial_temperature=0.1, decay_factor=0.5, cycles=2, steps_per_cycle=0,
-        step_size=1.0, seed=9,
-    )
+    schedule = AnnealSchedule(cycles=2, steps_per_cycle=0, step_size=1.0, seed=9)
     seed_pos = np.array([[3.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
     candidates = anneal(small_pair_setup, 0.0, schedule, initial_positions=seed_pos)
     for cand in candidates:
@@ -293,3 +295,70 @@ def test_negative_angular_momentum_mirror(setup_low, eq_low_p0):
     minus = find_equilibrium(setup_low, -1000.0, initial_positions=eq_low_p0.positions)
     assert minus.rotation_frequency == pytest.approx(1.0 - plus.rotation_frequency, abs=1e-12)
     assert minus.angular_momentum == pytest.approx(-plus.angular_momentum, rel=1e-12)
+
+
+def test_reduced_energy_gradient_matches_central_differences():
+    rng = np.random.default_rng(17)
+    cases = [(130000.0, 0.02, 20.0), (4000.0, 0.7, 7.0), (0.0, 0.7, 7.0)]
+    for p_theta, alpha_z, spacing in cases:
+        pos = np.zeros((30, 3))
+        pos[:, :2] = spacing * hex_lattice(30)
+        pos += 0.1 * spacing * rng.standard_normal((30, 3))
+        energy, grad = _reduced_energy_and_gradient(pos, p_theta, alpha_z)
+        assert energy == pytest.approx(reduced_energy(pos, p_theta, alpha_z), rel=1e-13)
+        h = 1e-4 * spacing
+        fd = np.zeros_like(pos)
+        for idx in np.ndindex(*pos.shape):
+            up, down = pos.copy(), pos.copy()
+            up[idx] += h
+            down[idx] -= h
+            fd[idx] = (reduced_energy(up, p_theta, alpha_z)
+                       - reduced_energy(down, p_theta, alpha_z)) / (2.0 * h)
+        assert np.linalg.norm(fd - grad) <= 1e-6 * np.linalg.norm(grad)
+
+
+@pytest.mark.parametrize("point", ["fig4", "slow_p0", "slow_p4000"])
+def test_seed_is_planar_at_the_final_anisotropy(point, setup_high, setup_low, eq_high,
+                                                eq_low_p0, eq_low_p4000):
+    # the seed's virial size must land near the equilibrium, not on an
+    # axial chain: at fig4 the old fixed point ended at beta ~ beta_max
+    setup, p_theta, final = {
+        "fig4": (setup_high, 1.3e5, eq_high),
+        "slow_p0": (setup_low, 0.0, eq_low_p0),
+        "slow_p4000": (setup_low, 4000.0, eq_low_p4000),
+    }[point]
+    seed = _seed_positions(setup, p_theta)
+    assert np.all(seed[:, 2] == 0.0)
+    beta = _implied_anisotropy(seed, setup.axial_ratio)
+    assert stability_class(beta, setup.ion_count) is StabilityClass.PLANAR_2D
+    assert beta == pytest.approx(final.anisotropy, rel=0.05)
+
+
+def jittered_hex_start(n_ions, p_theta, seed):
+    """Hexagonal lattice sized so that sum r^2 / 2 = P_theta, 5 % jitter."""
+    rng = np.random.default_rng(seed)
+    lattice = hex_lattice(n_ions)
+    spacing = math.sqrt(2.0 * p_theta / float(np.sum(lattice**2)))
+    start = np.zeros((n_ions, 3))
+    start[:, :2] = spacing * lattice
+    return start + 0.05 * spacing * rng.standard_normal((n_ions, 3))
+
+
+@pytest.mark.parametrize("n_ions, p_theta", [(30, 1.3e5), (60, 4e5)])
+def test_search_is_no_worse_than_warm_starts(beryllium, n_ions, p_theta):
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, n_ions)
+    found = find_equilibrium(setup, p_theta, default_schedule(setup, p_theta, seed=1))
+    searched = reduced_energy(found.positions, p_theta, 0.02)
+    warm = min(
+        reduced_energy(find_equilibrium(setup, p_theta, initial_positions=jittered_hex_start(
+            n_ions, p_theta, seed)).positions, p_theta, 0.02)
+        for seed in range(8)
+    )
+    # the same basin found two ways differs in the last digits only
+    assert searched <= warm + 1e-12 * warm
+
+
+def test_search_repeats_bit_for_bit(setup_high, eq_high):
+    again = find_equilibrium(setup_high, 1.3e5, default_schedule(setup_high, 1.3e5, seed=7))
+    np.testing.assert_array_equal(again.positions, eq_high.positions)
+    assert again.rotation_frequency == eq_high.rotation_frequency

@@ -92,9 +92,10 @@ def test_calibrated_phase_matches_a_fresh_phase(gate_high, eq_high, spectrum_hig
     assert amplitude == calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
     fresh = two_qubit_phase(replace(gate_high, amplitude=amplitude), spectrum_high, eq_high,
                             setup_high)
-    # theta is a cancelling sum of the four state phases: compare on their scale
+    # theta applies the force factor after the cancelling mode sum, so both
+    # share every digit of that sum; the state phases compare on their scale
+    assert fresh.theta == pytest.approx(phase.theta, rel=1e-14, abs=0.0)
     scale = max(abs(value) for value in fresh.by_state.values())
-    assert phase.theta == pytest.approx(fresh.theta, abs=1e-13 * scale)
     for label, value in fresh.by_state.items():
         assert phase.by_state[label] == pytest.approx(value, abs=1e-13 * scale)
     np.testing.assert_allclose(phase.mode_phases, fresh.mode_phases, rtol=1e-12,
