@@ -492,17 +492,12 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
         raise ValueError("empty sweep grid")
     setup = config.setup()
 
-    def planar_state(p_theta, **kwargs):
-        try:
-            return _require_planar(find_equilibrium(setup, p_theta, **kwargs))
-        except (RuntimeError, ValueError) as exc:
-            raise StageError("equilibrium", str(exc)) from exc
-
     if parameter == "p_theta":
-        base = planar_state(float(grid[0]), schedule=config.schedule())
+        # equilibrium quantities only: 3D points are valid rows here
+        base = find_equilibrium(setup, float(grid[0]), config.schedule())
 
         def point(value):
-            state = planar_state(float(value), initial_positions=base.positions)
+            state = find_equilibrium(setup, float(value), initial_positions=base.positions)
             return {
                 "p_theta": value,
                 "omega_r_over_omega_c": state.rotation_frequency,
@@ -512,7 +507,10 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
         header = ["p_theta", "omega_r_over_omega_c", "beta", "energy", "status"]
     else:
-        state = planar_state(config.p_theta, schedule=config.schedule())
+        try:
+            state = _require_planar(find_equilibrium(setup, config.p_theta, config.schedule()))
+        except (RuntimeError, ValueError) as exc:
+            raise StageError("equilibrium", str(exc)) from exc
         spectrum = williamson(build_hessian(state))
         bands = classify_bands(spectrum, setup)
         pair = select_pair(state, config.pair_rule)

@@ -16,10 +16,10 @@ frame.  Equilibria at fixed P_theta are found in three steps:
 * a multi-start L-BFGS search of the reduced (momentum-eliminated) energy,
   each start a jittered planar hexagonal lattice whose spacing the virial
   relation sizes to carry P_theta;
-* damped Newton refinement of the lowest candidate's corotating-frame
-  effective potential at fixed alpha_r;
+* damped Newton refinement of each candidate's corotating-frame effective
+  potential at fixed alpha_r;
 * an outer scalar root-find for the alpha_r whose refined crystal carries the
-  target P_theta.
+  target P_theta; the refined crystal of lowest reduced energy is kept.
 """
 
 from __future__ import annotations
@@ -89,18 +89,21 @@ class AnnealSchedule:
 
 
 def _pair_distances(positions):
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    return diff, dist
+    """Pair distances, shape (N, N), with infinity on the diagonal; summed
+    one axis at a time, which is cheaper than an (N, N, 3) difference."""
+    dist2 = (positions[:, None, 0] - positions[None, :, 0]) ** 2
+    for mu in range(1, positions.shape[1]):
+        dist2 += (positions[:, None, mu] - positions[None, :, mu]) ** 2
+    dist = np.sqrt(dist2)
+    np.fill_diagonal(dist, np.inf)
+    return dist
 
 
 def coulomb_energy(positions) -> float:
-    _, dist = _pair_distances(positions)
-    iu = np.triu_indices(len(positions), k=1)
-    d = dist[iu]
-    if d.size and d.min() < _MIN_SEPARATION:
+    dist = _pair_distances(np.asarray(positions, dtype=float))
+    if dist.min(initial=np.inf) < _MIN_SEPARATION:
         raise ValueError("coincident ions: Coulomb energy singular")
-    return float(np.sum(1.0 / d)) if d.size else 0.0
+    return 0.5 * float(np.sum(1.0 / dist))
 
 
 def effective_potential(positions, alpha_r, axial_ratio) -> float:
@@ -123,9 +126,9 @@ def effective_potential_gradient(positions, alpha_r, axial_ratio):
     grad[:, 0] = axial_ratio**2 * beta * positions[:, 0]
     grad[:, 1] = axial_ratio**2 * beta * positions[:, 1]
     grad[:, 2] = axial_ratio**2 * positions[:, 2]
-    diff, dist = _pair_distances(positions)
-    np.fill_diagonal(dist, np.inf)
-    grad -= np.einsum("ijk,ij->ik", diff, dist**-3)
+    inv3 = _pair_distances(positions) ** -3
+    # sum_j (r_k - r_j) / d_kj^3
+    grad -= inv3.sum(axis=1)[:, None] * positions - inv3 @ positions
     return grad
 
 
@@ -138,17 +141,17 @@ def coulomb_block_tensor(positions):
     """
     positions = np.asarray(positions, dtype=float)
     n = len(positions)
-    diff, dist = _pair_distances(positions)
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
     inv3 = dist**-3
     inv5 = dist**-5
     outer = np.einsum("ijk,ijl->ijkl", diff, diff)
     eye = np.eye(3)
     offdiag = eye[None, None, :, :] * inv3[:, :, None, None] - 3.0 * outer * inv5[:, :, None, None]
-    blocks = offdiag.copy()
     idx = np.arange(n)
-    blocks[idx, idx] = -offdiag.sum(axis=1)
-    return blocks
+    offdiag[idx, idx] = -offdiag.sum(axis=1)  # the diagonal blocks were 0
+    return offdiag
 
 
 def effective_potential_hessian(positions, alpha_r, axial_ratio):
@@ -202,27 +205,14 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
     return trap + coulomb_energy(positions) + rot
 
 
-def _reduced_energy_and_gradient(positions, p_theta, axial_ratio):
-    """Reduced energy and its analytic gradient, shape (N, 3), from one
-    pair-distance pass."""
-    diff = [positions[:, None, mu] - positions[None, :, mu] for mu in range(3)]
-    dist2 = diff[0] ** 2 + diff[1] ** 2 + diff[2] ** 2
-    np.fill_diagonal(dist2, np.inf)
-    inv = 1.0 / np.sqrt(dist2)
-    inv3 = inv**3
-    r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-    inertia = float(np.sum(r2))
-    kappa = (1.0 - 2.0 * axial_ratio**2) / 8.0
-    rot = p_theta**2 / (2.0 * inertia) if p_theta != 0.0 else 0.0
-    energy = (float(np.sum(0.5 * axial_ratio**2 * positions[:, 2] ** 2 + kappa * r2))
-              + 0.5 * float(inv.sum()) + rot)
-    # d(P^2 / 2I) / dx_k = -(P^2 / I^2) x_k = -(2 rot / I) x_k
-    radial = 2.0 * kappa - (2.0 * rot / inertia if rot else 0.0)
-    grad = np.column_stack([radial * positions[:, 0], radial * positions[:, 1],
-                            axial_ratio**2 * positions[:, 2]])
-    for mu in range(3):
-        grad[:, mu] -= np.sum(diff[mu] * inv3, axis=1)
-    return energy, grad
+def reduced_energy_gradient(positions, p_theta, axial_ratio):
+    """Analytic gradient of ``reduced_energy``, shape (N, 3).
+
+    At the alpha_r whose rigid rotor carries P_theta, alpha_z^2 beta =
+    2 kappa - P^2 / I^2, so this is the effective-potential gradient there.
+    """
+    alpha_r = rotation_frequency_from_ptheta(positions, p_theta)
+    return effective_potential_gradient(positions, alpha_r, axial_ratio)
 
 
 def _state_from_positions(positions, p_theta, axial_ratio, converged=False, iterations=None):
@@ -282,16 +272,16 @@ def _seed_spacing(setup: TrapSetup, p_theta):
     inertia = float(np.sum(lattice**2))
     if inertia <= 0.0:  # a single ion: no Coulomb scale
         return 1.0, beta_max
-    coulomb = coulomb_energy(lattice)
+    beta_unit = _implied_anisotropy(lattice, alpha_z)
 
     def beta_at(a):
-        return coulomb / (alpha_z**2 * inertia * a**3)
+        return beta_unit / a**3
 
     def mismatch(a):
         s2 = max(1.0 - 4.0 * alpha_z**2 * (beta_at(a) + 0.5), 0.0)
         return 0.5 * a**2 * inertia * math.sqrt(s2) - abs(p_theta)
 
-    a_min = (coulomb / (alpha_z**2 * inertia * beta_max)) ** (1.0 / 3.0)
+    a_min = (beta_unit / beta_max) ** (1.0 / 3.0)
     if p_theta == 0.0:
         return a_min, beta_max
     a_hi = 2.0 * a_min
@@ -320,9 +310,10 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule, initial_position
     for at most ``schedule.steps_per_cycle`` iterations at scipy's default
     tolerances, since Newton refinement finishes the job.  Those stop short
     of the basin minimum by more than the gaps between basins once N is
-    about 60 or more, so there the candidates' energies rank their basins
-    only roughly.  Returns one candidate per start, in start order.
-    Deterministic for a fixed schedule seed.
+    about 60 or more, so the candidates' own energies do not rank their
+    basins; ``find_equilibrium`` ranks them after refinement.  Returns one
+    candidate per start, in start order.  Deterministic for a fixed
+    schedule seed.
     """
     from scipy.optimize import minimize
 
@@ -330,8 +321,9 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule, initial_position
     n = setup.ion_count
 
     def objective(flat):
-        energy, grad = _reduced_energy_and_gradient(flat.reshape(n, 3), p_theta, alpha_z)
-        return energy, grad.reshape(-1)
+        pos = flat.reshape(n, 3)
+        grad = reduced_energy_gradient(pos, p_theta, alpha_z)
+        return reduced_energy(pos, p_theta, alpha_z), grad.reshape(-1)
 
     def search(start):
         if schedule.steps_per_cycle:
@@ -361,6 +353,8 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
     planar configurations the axial coordinates are snapped to the symmetry
     plane once they are already small.
     """
+    from scipy.linalg import cho_solve
+
     alpha_r = candidate.rotation_frequency
     alpha_z = candidate.axial_ratio
     pos = candidate.positions.copy()
@@ -382,17 +376,18 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
                 # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
                 axis = axis / np.linalg.norm(axis)
                 ht = hess @ axis
-                hess = (hess - np.outer(axis, ht) - np.outer(ht, axis)
-                        + (axis @ ht + scale) * np.outer(axis, axis))
+                hess -= np.outer(axis, ht - (axis @ ht + scale) * axis) + np.outer(ht, axis)
+            diagonal = np.diag(hess).copy()
             for _ in range(30):
                 try:
-                    chol = np.linalg.cholesky(hess + shift * np.eye(3 * n))
+                    np.fill_diagonal(hess, diagonal + shift)
+                    chol = np.linalg.cholesky(hess)
                     break
                 except np.linalg.LinAlgError:
                     shift = max(2.0 * shift, 1e-12 * scale) * 10.0
             else:
                 return pos, iterations, False
-            step = np.linalg.solve(chol.T, np.linalg.solve(chol, -gflat)).reshape(n, 3)
+            step = cho_solve((chol, True), -gflat).reshape(n, 3)
             shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
             slope = float(gflat @ step.reshape(-1))
             t = 1.0
@@ -449,9 +444,9 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None 
     """Self-consistent equilibrium at fixed canonical angular momentum.
 
     Unless seeded with initial positions, runs the multi-start search
-    (``anneal``) and refines only its lowest-reduced-energy candidate,
-    falling back to the next one only when a refinement fails.  The
-    refinement is Newton at fixed rotation frequency inside a scalar
+    (``anneal``), refines every candidate and returns the refined crystal of
+    lowest reduced energy; candidates whose refinement fails are skipped.
+    The refinement is Newton at fixed rotation frequency inside a scalar
     root-find for the rotation frequency whose refined configuration carries
     the requested P_theta; its inner minimizations are warm-started with the
     exact planar scaling positions ~ beta^(-1/3).
@@ -465,19 +460,17 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None 
     else:
         if schedule is None:
             schedule = default_schedule(setup, target)
-        candidates = anneal(setup, target, schedule)
-        ranked = sorted(candidates, key=lambda c: reduced_energy(c.positions, target, alpha_z))
-        seeds = [c.positions for c in ranked]
+        seeds = [c.positions for c in anneal(setup, target, schedule)]
 
-    failure = None
+    solved, failure = [], None
     for seed in seeds:
         try:
-            final = _solve_at_fixed_ptheta(seed, target, alpha_z, grad_tol)
-            break
+            solved.append(_solve_at_fixed_ptheta(seed, target, alpha_z, grad_tol))
         except (RuntimeError, ValueError) as exc:
             failure = exc
-    else:
+    if not solved:
         raise RuntimeError(f"no search candidate could be refined ({failure})")
+    final = min(solved, key=lambda state: reduced_energy(state.positions, target, alpha_z))
 
     if mirror:
         final = replace(

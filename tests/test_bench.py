@@ -17,6 +17,7 @@ from penninggate import (
     sweep,
 )
 from penninggate.bench import config_lines, resolve_carrier
+from penninggate.scales import beta_critical
 
 
 def small_config(tmp_path, **overrides):
@@ -163,6 +164,15 @@ def test_run_experiment_refuses_a_three_dimensional_crystal(tmp_path):
     assert not (out / "spectrum.csv").exists()
     with pytest.raises(StageError, match="not planar"):
         sweep(config, "T", [1e-3])
+
+
+def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
+    # the p_theta sweep reports equilibrium quantities only, so the planarity
+    # guard of the mode and gate stages does not apply to it
+    config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3)
+    rows = [line.split(",") for line in sweep(config, "p_theta", [2000.0, 2e4]).splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "ok"]
+    assert float(rows[0][2]) > beta_critical(8) > float(rows[1][2])
 
 
 def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
