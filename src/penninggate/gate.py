@@ -273,13 +273,9 @@ def _gaussian_phase_kernel(dims, omegas):
 
 def _quadrature_phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
     """G_k by panel quadrature of the running integral, for any profile."""
-    dims = _dimensionless(spec, setup)
     grid = _grid(spec, spectrum, setup)
-    profile = _carrier(grid.flat_times, dims)
-    omegas = spectrum.frequencies
-    u = profile[None, :] * np.exp(1j * omegas[:, None] * grid.flat_times[None, :])
-    running = grid.cumulative(u)
-    return grid.integrate(np.imag(u * np.conj(running)))
+    profile = _carrier(grid.flat_times, _dimensionless(spec, setup))
+    return grid.phase_kernel(profile, spectrum.frequencies)
 
 
 @dataclass(frozen=True)

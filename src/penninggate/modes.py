@@ -11,13 +11,13 @@ blocks that no entry couples.  A planar crystal (every z exactly 0, as the
 Newton refinement leaves it) has no in-plane/axial curvature, so it splits
 into a 4N in-plane and a 2N axial block; a 3D crystal, where some pair of
 ions differs in z, stays one 6N block.  Each block is factored H = L L^T
-(Cholesky), the canonical pairs come from one Hermitian eigendecomposition
-of i L^T J L, and S = D^(1/2) O^T L^(-1) gets one symplectic polish.
+(Cholesky), the canonical pairs come from the real skew-tridiagonal
+(Hessenberg) form of L^T J L, and S = D^(1/2) O^T L^(-1) gets one
+symplectic polish.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,6 +177,13 @@ def _times_j(m):
     return out
 
 
+def _skew_gram(m):
+    """m^T J m for the interleaved J: M - M^T with M = m_q^T m_p formed from
+    the even (q) and odd (p) rows, half the work of a full product."""
+    gram = m[0::2].T @ m[1::2]
+    return gram - gram.T
+
+
 def _decoupled_blocks(h):
     """Named phase-space index sets of the exactly decoupled blocks of h.
 
@@ -195,35 +202,49 @@ def _decoupled_blocks(h):
 def _williamson_block(chol, name):
     """Frequencies (ascending) and symplectic S of one block H = L L^T.
 
-    The antisymmetric K = L^T J L has eigenvalues +/- i w.  A unit
-    eigenvector v of iK at +w satisfies v^T v' = 0 against every other
-    positive-frequency eigenvector (v-bar lies at -w), degenerate ones
-    included, so (sqrt2 Re v, -sqrt2 Im v) are orthonormal canonical pairs:
+    The real antisymmetric K = L^T J L has eigenvalues +/- i w and a
+    Hessenberg form K = Q T Q^T that is tridiagonal with a zero diagonal and
+    subdiagonal e.  The phases D_(i+1) = D_i i sign(e_i) (sign 0 taken as
+    +1, where T splits) turn iT into the real symmetric tridiagonal with
+    off-diagonal |e|; its eigenvectors z give those of iK as v = Q D z.  A
+    unit v at +w satisfies v^T v' = 0 against every other positive-frequency
+    eigenvector (v-bar lies at -w), degenerate ones included, so
+    (sqrt2 Re v, -sqrt2 Im v) are orthonormal canonical pairs:
     O^T K O = diag(w) J.  Then S = D^(1/2) O^T L^(-1) gives S H S^T = D and
     S J S^T = J.
     """
-    kmat = _times_j(chol.T) @ chol
-    kmat = 0.5 * (kmat - kmat.T)
+    from scipy.linalg import eigh_tridiagonal, hessenberg, solve_triangular
+
     half = len(chol) // 2
-    kvals, kvecs = np.linalg.eigh(1j * kmat)
-    freqs, vecs = kvals[half:], kvecs[:, half:]
+    tri, q_matrix = hessenberg(_skew_gram(chol), calc_q=True)
+    sub = np.diagonal(tri, -1)
+    tvals, tvecs = eigh_tridiagonal(np.zeros(2 * half), np.abs(sub))
+    freqs = tvals[half:]
+    # D is real on even and i times real on odd rows; those real factors step
+    # by sign(e_i) (-1)^i, so Re v and Im v are real products of Q and z
+    steps = np.where(sub < 0.0, -1.0, 1.0) * (-1.0) ** np.arange(len(sub))
+    vecs = np.cumprod(np.concatenate(([1.0], steps)))[:, None] * tvecs[:, half:]
+    vecs *= np.sqrt(2.0 * freqs)
+    # O D^(1/2), solved to the transpose S^T = L^(-T) O D^(1/2), whose rows
+    # are the (q, p) coordinates that _skew_gram slices
     o_matrix = np.empty_like(chol)
-    o_matrix[:, 0::2] = math.sqrt(2.0) * vecs.real
-    o_matrix[:, 1::2] = -math.sqrt(2.0) * vecs.imag
-    s_matrix = np.repeat(np.sqrt(freqs), 2)[:, None] * np.linalg.solve(chol.T, o_matrix).T
+    o_matrix[:, 0::2] = q_matrix[:, 0::2] @ vecs[0::2]
+    o_matrix[:, 1::2] = -(q_matrix[:, 1::2] @ vecs[1::2])
+    s_trans = solve_triangular(chol, o_matrix, trans="T", lower=True)
 
     # one first-order polish on the symplectic manifold: with the antisymmetric
-    # defect E = S J S^T - J, the update (I + E J / 2) S cancels E to O(E^2)
+    # defect E = S J S^T - J, the update (I + E J / 2) S cancels E to O(E^2);
+    # transposed, S^T + S^T J E / 2
     jmat = symplectic_form(half)
-    defect = _times_j(s_matrix) @ s_matrix.T - jmat
-    s_matrix = s_matrix + 0.5 * _times_j(defect) @ s_matrix
+    defect = _skew_gram(s_trans) - jmat
+    s_trans = s_trans + 0.5 * _times_j(s_trans) @ defect
 
-    resid_j = np.abs(_times_j(s_matrix) @ s_matrix.T - jmat).max()
+    resid_j = np.abs(_skew_gram(s_trans) - jmat).max()
     if resid_j > 1e-10:
         raise np.linalg.LinAlgError(
             f"symplectic residual too large in the {name} block: {resid_j:.3e}"
         )
-    return freqs, s_matrix
+    return freqs, s_trans.T
 
 
 def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> ModeSpectrum:
@@ -234,10 +255,14 @@ def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> Mo
     block on its own, and assembles the symplectic S with
     S H S^T = diag(w_1, w_1, ..., w_3N, w_3N) and S J S^T = J.
     """
+    from scipy.linalg import cholesky
+
     h = np.asarray(qh.matrix, dtype=float)
-    if np.abs(h - h.T).max() > _SYMMETRY_TOL * max(1.0, np.abs(h).max()):
-        raise ValueError("Hessian is not symmetric")
-    h = 0.5 * (h + h.T)
+    asym = h - h.T
+    if asym.any():
+        if np.abs(asym).max() > _SYMMETRY_TOL * max(1.0, np.abs(h).max()):
+            raise ValueError("Hessian is not symmetric")
+        h = h - 0.5 * asym
 
     direction = _rotation_direction(qh.reference.positions) if qh.reference is not None else None
     h_reg = h if direction is None else h + epsilon * np.outer(direction, direction)
@@ -246,7 +271,7 @@ def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> Mo
     factors, failed = [], []
     for name, _, block in blocks:
         try:
-            factors.append(np.linalg.cholesky(block))
+            factors.append(cholesky(block, lower=True))
         except np.linalg.LinAlgError:
             failed.append(f"{name} block has lowest eigenvalue {np.linalg.eigvalsh(block)[0]:.3e}")
     if failed:
@@ -282,7 +307,7 @@ def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> Mo
     perm[0::2] = 2 * order
     perm[1::2] = 2 * order + 1
     s_matrix = s_matrix[perm, :]
-    coeffs = s_matrix[0::2, :] + 1j * s_matrix[1::2, :]
+    coeffs = coeffs[order]
     if regularized_mode is not None:
         regularized_mode = int(np.where(order == regularized_mode)[0][0])
 
@@ -333,13 +358,8 @@ def classify_bands(spectrum: ModeSpectrum, setup: TrapSetup) -> BandClassificati
     (ExB) and high (cyclotron) branch.  The regularized rotation mode does
     not contribute to band intervals.
     """
-    n = spectrum.reference.n_ions
-    a_pos = spectrum.position_coefficients()
-    z_cols = [3 * k + 2 for k in range(n)]
-    xy_cols = [3 * k + mu for k in range(n) for mu in (0, 1)]
-    z_weight = np.abs(a_pos[:, z_cols]) ** 2
-    xy_weight = np.abs(a_pos[:, xy_cols]) ** 2
-    axial = z_weight.sum(axis=1) > xy_weight.sum(axis=1)
+    weight = np.abs(spectrum.position_coefficients()) ** 2  # columns x, y, z per ion
+    axial = weight[:, 2::3].sum(axis=1) > (weight[:, 0::3] + weight[:, 1::3]).sum(axis=1)
 
     labels = [""] * spectrum.n_modes
     inplane = []

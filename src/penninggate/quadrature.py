@@ -1,11 +1,14 @@
 """Composite Gauss-Legendre panel quadrature for oscillatory gate integrals.
 
-Panels carry a fixed-order Legendre interpolant, which also provides the
-running antiderivative needed by the phase-accumulation kernel; both the
-plain integral and the cumulative integral are spectrally accurate once the
-panel density resolves the fastest oscillation.  Panels of one width also
-factor the Fourier integral of a drive, so its phases cost one exponential
-per panel and per reference node rather than one per node.
+Panels carry a fixed-order Legendre interpolant, whose running integral
+over one panel is a single matrix on the reference nodes; both the Fourier
+integral of a drive and the double integral of the phase kernel are
+spectrally accurate once the panel density resolves the fastest
+oscillation.  Panels of one width factor both: a node's phase splits into
+its panel's phase and a reference-node phase, so the Fourier integral costs
+one exponential per panel and per reference node rather than one per node,
+and inside a panel the kernel sees only phase differences between
+reference nodes.
 """
 
 from __future__ import annotations
@@ -20,25 +23,16 @@ import numpy as np
 def _reference(order: int):
     """Reference-interval machinery for one panel order.
 
-    Returns (nodes, weights, fit, eval_nodes, eval_left) where ``fit`` maps
-    node values to Legendre coefficients of the interpolant, ``eval_nodes``
-    evaluates the antiderivative coefficients back on the nodes, and
-    ``eval_left`` evaluates them at the left edge x = -1.
+    Returns (nodes, weights, running) where ``running`` maps node values to
+    the integral of their Legendre interpolant from x = -1 to each node.
     """
     from numpy.polynomial import legendre
 
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = legendre.leggauss(order)
     # discrete Legendre transform: c_l = (2l+1)/2 sum_i w_i P_l(x_i) f(x_i)
-    vander = legendre.legvander(nodes, order - 1)          # (p, p)
-    fit = ((np.arange(order) + 0.5)[:, None] * vander.T) * weights[None, :]
-    vander_int = legendre.legvander(nodes, order)          # (p, p+1)
-    left = legendre.legvander(np.array([-1.0]), order)[0]  # (p+1,)
-    int_map = np.zeros((order + 1, order))
-    for col in range(order):
-        coef = np.zeros(order)
-        coef[col] = 1.0
-        int_map[:, col] = legendre.legint(coef)
-    return nodes, weights, fit, vander_int, left, int_map
+    fit = ((np.arange(order) + 0.5)[:, None] * legendre.legvander(nodes, order - 1).T) * weights
+    running = legendre.legval(nodes, legendre.legint(fit, lbnd=-1.0)).T
+    return nodes, weights, running
 
 
 @dataclass(frozen=True)
@@ -54,11 +48,21 @@ class PanelGrid:
     def flat_times(self):
         return self.times.reshape(-1)
 
-    def integrate(self, values):
-        """Integral over the whole window; values sampled on flat_times."""
-        vals = np.asarray(values)
-        shaped = vals.reshape(vals.shape[:-1] + self.times.shape)
-        return (shaped * self.weights).sum(axis=(-2, -1))
+    def _factored(self, values, omegas):
+        """Common half width h, panel phases exp(i omega m_p) and local sums
+        [E (w v)^T]_p with E_i = exp(i omega h x_i), for a node t = m_p + h x_i.
+        """
+        nodes, *_ = _reference(self.order)
+        half = float(np.mean(self.half_widths))
+        # panel_grid's widths differ only by the rounding of the panel edges
+        slack = 8 * np.finfo(float).eps * np.abs(self.times).max()
+        if np.abs(self.half_widths - half).max() > slack:
+            raise ValueError("factored panel integrals need panels of one width")
+        omegas = np.asarray(omegas, dtype=float)
+        weighted = np.asarray(values).reshape(self.times.shape) * self.weights
+        centers = 0.5 * (self.times[:, 0] + self.times[:, -1])
+        local = np.exp(1j * half * omegas[:, None] * nodes[None, :]) @ weighted.T
+        return half, np.exp(1j * omegas[:, None] * centers[None, :]), local
 
     def fourier(self, values, omegas):
         """Integral of values(t) exp(i omega t) over the window, one per omega;
@@ -70,32 +74,28 @@ class PanelGrid:
         which takes len(omegas) * (n_panels + order) exponentials instead of
         one per node and frequency.
         """
-        nodes, *_ = _reference(self.order)
-        half = float(np.mean(self.half_widths))
-        # panel_grid's widths differ only by the rounding of the panel edges
-        slack = 8 * np.finfo(float).eps * np.abs(self.times).max()
-        if np.abs(self.half_widths - half).max() > slack:
-            raise ValueError("factored Fourier integral needs panels of one width")
-        omegas = np.asarray(omegas, dtype=float)
-        weighted = np.asarray(values).reshape(self.times.shape) * self.weights
-        centers = 0.5 * (self.times[:, 0] + self.times[:, -1])
-        local = np.exp(1j * half * omegas[:, None] * nodes[None, :]) @ weighted.T
-        return np.einsum("kp,kp->k", np.exp(1j * omegas[:, None] * centers[None, :]), local)
+        _, phases, local = self._factored(values, omegas)
+        return np.einsum("kp,kp->k", phases, local)
 
-    def cumulative(self, values):
-        """Running integral from t0, evaluated at every node."""
-        vals = np.asarray(values)
-        lead = vals.shape[:-1]
-        shaped = vals.reshape(lead + self.times.shape)
-        _, _, fit, vander_int, left, int_map = _reference(self.order)
-        coeffs = np.einsum("lp,...kp->...kl", fit, shaped)
-        anti = np.einsum("ml,...kl->...km", int_map, coeffs)
-        at_nodes = np.einsum("pm,...km->...kp", vander_int, anti)
-        at_left = np.einsum("m,...km->...k", left, anti)
-        local = (at_nodes - at_left[..., None]) * self.half_widths[:, None]
-        panel_totals = (shaped * self.weights).sum(axis=-1)
-        prefix = np.cumsum(panel_totals, axis=-1) - panel_totals
-        return (local + prefix[..., None]).reshape(lead + (-1,))
+    def phase_kernel(self, values, omegas):
+        """G(omega) = int dt c(t) int_t0^t ds c(s) sin(omega (t - s)) over the
+        window for a real drive c sampled on flat_times, one per omega.
+
+        The running integral at a node is the earlier panels' totals U_q (as
+        ``fourier`` forms them) plus the part inside its own panel, where the
+        panel phase cancels: that part gives h^2 sum_ij w_i R_ij
+        sin(omega h (x_i - x_j)) sum_p c_pi c_pj, with R the reference
+        running-integral matrix, and the rest sum_p Im(U_p conj(sum_q<p U_q)).
+        """
+        nodes, weights, running = _reference(self.order)
+        half, phases, local = self._factored(values, omegas)
+        samples = np.asarray(values, dtype=float).reshape(self.times.shape)
+        pairs = half**2 * weights[:, None] * running * (samples.T @ samples)
+        offsets = half * (nodes[:, None] - nodes[None, :]).ravel()
+        within = np.sin(np.asarray(omegas, dtype=float)[:, None] * offsets) @ pairs.ravel()
+        totals = phases * local
+        earlier = np.cumsum(totals, axis=1) - totals
+        return within + np.imag(totals * np.conj(earlier)).sum(axis=1)
 
 
 def panel_grid(t0: float, t1: float, n_panels: int, order: int = 16) -> PanelGrid:

@@ -5,10 +5,11 @@ import re
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, hessenberg
 
 from penninggate import (
     TrapSetup,
+    modes,
     build_hessian,
     classify_bands,
     default_schedule,
@@ -21,6 +22,8 @@ from penninggate.crystal import effective_potential_hessian, hex_lattice
 from penninggate.modes import (
     QuadraticHamiltonian,
     _decoupled_blocks,
+    _skew_gram,
+    _times_j,
     equilibrium_momenta,
     minimal_coupling_rate,
     phase_space_hamiltonian,
@@ -255,6 +258,66 @@ def test_williamson_invariant_under_symplectic_shear():
         sheared = t @ h @ t.T
         spec = williamson(QuadraticHamiltonian(matrix=sheared, reference=None))
         assert np.abs(np.sort(spec.frequencies) - np.sort(base.frequencies)).max() < 1e-9
+
+
+def assert_canonical(spec, h, tol):
+    """S J S^T = J and S H S^T = diag(w_1, w_1, ..., w_n, w_n) to tol."""
+    s = spec.symplectic
+    jmat = symplectic_form(len(h) // 2)
+    assert np.abs(s @ jmat @ s.T - jmat).max() < tol
+    assert np.abs(s @ h @ s.T - np.diag(np.repeat(spec.frequencies, 2))).max() < tol
+
+
+def test_williamson_block_whose_tridiagonal_splits():
+    # two uncoupled oscillators with q-p cross terms in one 4x4 block: K is
+    # block diagonal, so its tridiagonal form has an exactly zero subdiagonal
+    h = np.zeros((4, 4))
+    h[:2, :2] = [[4.0, 0.5], [0.5, 1.0]]
+    h[2:, 2:] = [[9.0, -1.0], [-1.0, 2.0]]
+    sub = np.diagonal(hessenberg(_skew_gram(np.linalg.cholesky(h))), -1)
+    assert sub[1] == 0.0 and np.all(sub[[0, 2]] != 0.0)
+    spec = williamson(QuadraticHamiltonian(matrix=h, reference=None))
+    assert spec.frequencies == pytest.approx([math.sqrt(3.75), math.sqrt(17.0)], rel=1e-14)
+    assert_canonical(spec, h, 1e-12)
+
+
+@pytest.mark.parametrize("sheared", [False, True])
+def test_williamson_fully_degenerate_block(sheared):
+    # H = I: every frequency is 1; the sheared form T T^T (T symplectic) has
+    # the same spectrum without K being block diagonal
+    h = np.eye(10)
+    if sheared:
+        sym = np.random.default_rng(4).standard_normal((10, 10))
+        t = expm(symplectic_form(5) @ (0.2 * (sym + sym.T)))
+        h = t @ t.T
+    spec = williamson(QuadraticHamiltonian(matrix=h, reference=None))
+    assert np.abs(spec.frequencies - 1.0).max() < 1e-12
+    assert_canonical(spec, h, 1e-12)
+
+
+def complex_eigh_block(chol, name):
+    """The previous Williamson core: one complex Hermitian eigh of i L^T J L."""
+    kmat = _times_j(chol.T) @ chol
+    kmat = 0.5 * (kmat - kmat.T)
+    half = len(chol) // 2
+    kvals, kvecs = np.linalg.eigh(1j * kmat)
+    freqs, vecs = kvals[half:], kvecs[:, half:]
+    o_matrix = np.empty_like(chol)
+    o_matrix[:, 0::2] = math.sqrt(2.0) * vecs.real
+    o_matrix[:, 1::2] = -math.sqrt(2.0) * vecs.imag
+    s_matrix = np.repeat(np.sqrt(freqs), 2)[:, None] * np.linalg.solve(chol.T, o_matrix).T
+    defect = _times_j(s_matrix) @ s_matrix.T - symplectic_form(half)
+    return freqs, s_matrix + 0.5 * _times_j(defect) @ s_matrix
+
+
+@pytest.mark.parametrize("name", ["spectrum_high", "spectrum_n100"])
+def test_real_core_matches_complex_eigh_core(name, request, monkeypatch):
+    spec = request.getfixturevalue(name)
+    monkeypatch.setattr(modes, "_williamson_block", complex_eigh_block)
+    reference = williamson(build_hessian(spec.reference))
+    assert spec.regularized_mode == reference.regularized_mode
+    physical = np.arange(spec.n_modes) != spec.regularized_mode
+    assert np.abs(spec.frequencies - reference.frequencies)[physical].max() <= 1e-14
 
 
 def test_coefficient_canonicity(spectrum_high):

@@ -1,21 +1,25 @@
-"""Composite Gauss-Legendre panels: the panel-factored Fourier integral."""
+"""Composite Gauss-Legendre panels: the panel-factored Fourier integral and
+phase kernel."""
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre
 
 from penninggate.quadrature import PanelGrid, grid_for_frequencies, panel_grid
 
 
+LAYOUTS = ((0.0, 50.0, 7, 16), (2.5, 4.0e3, 613, 16), (-3.0, 9.0, 5, 8))
+
+
 def test_fourier_matches_nodewise_integral():
     rng = np.random.default_rng(3)
-    for t0, t1, n_panels, order in ((0.0, 50.0, 7, 16), (2.5, 4.0e3, 613, 16), (-3.0, 9.0, 5, 8)):
+    for t0, t1, n_panels, order in LAYOUTS:
         grid = panel_grid(t0, t1, n_panels, order=order)
         omegas = np.concatenate([[0.0], rng.uniform(0.01, 2.0, 40)])
         values = rng.standard_normal(grid.flat_times.size)
-        nodewise = grid.integrate(
-            np.exp(1j * omegas[:, None] * grid.flat_times[None, :]) * values[None, :]
-        )
-        scale = np.sum(np.abs(grid.weights.reshape(-1) * values))
+        weighted = grid.weights.reshape(-1) * values
+        nodewise = np.exp(1j * omegas[:, None] * grid.flat_times[None, :]) @ weighted
+        scale = np.sum(np.abs(weighted))
         assert np.abs(grid.fourier(values, omegas) - nodewise).max() <= 1e-12 * scale
 
 
@@ -36,3 +40,45 @@ def test_fourier_rejects_unequal_panels():
                           order=grid.order)
     with pytest.raises(ValueError, match="one width"):
         stretched.fourier(np.ones(grid.flat_times.size), [1.0])
+    with pytest.raises(ValueError, match="one width"):
+        stretched.phase_kernel(np.ones(grid.flat_times.size), [1.0])
+
+
+def nodewise_phase_kernel(grid, values, omegas):
+    """The node-wise G: u = c exp(i omega t) at every node, its running
+    integral from the Legendre antiderivative of each panel plus the earlier
+    panels' totals, then the integral of Im(u conj(running))."""
+    order = grid.order
+    nodes, weights = legendre.leggauss(order)
+    fit = ((np.arange(order) + 0.5)[:, None] * legendre.legvander(nodes, order - 1).T) * weights
+    int_map = np.stack([legendre.legint(np.eye(order)[col]) for col in range(order)], axis=1)
+    at_nodes = legendre.legvander(nodes, order) - legendre.legvander(np.array([-1.0]), order)
+    u = values[None, :] * np.exp(1j * np.asarray(omegas)[:, None] * grid.flat_times[None, :])
+    shaped = u.reshape(len(omegas), *grid.times.shape)
+    anti = np.einsum("ml,lp,kqp->kqm", int_map, fit, shaped)
+    local = np.einsum("pm,kqm->kqp", at_nodes, anti) * grid.half_widths[:, None]
+    totals = (shaped * grid.weights).sum(axis=-1)
+    prefix = np.cumsum(totals, axis=-1) - totals
+    running = (local + prefix[..., None]).reshape(len(omegas), -1)
+    return np.imag(u * np.conj(running)) @ grid.weights.reshape(-1)
+
+
+def test_phase_kernel_matches_nodewise_formula():
+    rng = np.random.default_rng(9)
+    for t0, t1, n_panels, order in LAYOUTS:
+        grid = panel_grid(t0, t1, n_panels, order=order)
+        omegas = np.concatenate([[0.0], rng.uniform(0.01, 2.0, 40)])
+        values = rng.standard_normal(grid.flat_times.size)
+        scale = np.sum(np.abs(grid.weights.reshape(-1) * values)) ** 2
+        got = grid.phase_kernel(values, omegas)
+        assert np.abs(got - nodewise_phase_kernel(grid, values, omegas)).max() <= 1e-12 * scale
+
+
+def test_phase_kernel_exact_for_a_constant_drive():
+    # c = 1: G = int_0^T dt (1 - cos w t) / w = (w T - sin w T) / w^2
+    omegas = np.array([0.3, 1.0, 1.7])
+    tau = 800.0
+    grid = grid_for_frequencies(0.0, tau, omegas.max(), 40)
+    exact = (omegas * tau - np.sin(omegas * tau)) / omegas**2
+    got = grid.phase_kernel(np.ones(grid.flat_times.size), omegas)
+    np.testing.assert_allclose(got, exact, rtol=1e-12)
