@@ -1,10 +1,11 @@
 """Experiment orchestration and persistence.
 
-Wires the pipeline equilibrium -> Hessian -> symplectic modes -> band gaps ->
-carrier choice -> amplitude calibration -> fidelity sweep, and writes the
-run artifacts (equilibrium file, spectrum CSV, fidelity CSV, phase report,
-manifest).  Runs are deterministic for a fixed seed, independent of how many
-worker threads execute a sweep.
+One set of stage functions -- equilibrium, modes (Hessian, symplectic
+modes, band gaps), carrier choice, and gate (amplitude calibration, thermal
+fidelity) -- serves the CLI verbs, ``run_experiment`` and ``sweep``.  A run
+writes the artifacts of the stages it reaches (equilibrium file, spectrum
+CSV, fidelity CSV, phase report) and a manifest.  Runs are deterministic for
+a fixed seed, independent of how many worker threads execute a sweep.
 """
 
 from __future__ import annotations
@@ -14,8 +15,10 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -39,10 +42,8 @@ from .crystal import (
 from .gate import (
     GateResult,
     GateSpec,
-    calibrate_amplitude,
     calibrated_phase,
     fidelity,
-    fidelity_curve,
     residual_displacement,
 )
 from .modes import build_hessian, classify_bands, williamson
@@ -275,15 +276,20 @@ def select_pair(state: CrystalState, rule="innermost"):
     return (inner, int(np.argmin(dist)))
 
 
-def resolve_carrier(bands, rule="mid-widest"):
+def _widest_gap(bands):
+    if not bands.gaps:
+        raise ValueError("no band gap available for the carrier")
+    lo, hi, *_ = max(bands.gaps, key=lambda g: g[1] - g[0])
+    return lo, hi
+
+
+def resolve_carrier(bands):
     """Carrier frequency (omega_c units) from the band gaps.
 
     The widest gap is chosen and the carrier sits at its arithmetic middle,
     far from both adjacent bands.
     """
-    if not bands.gaps:
-        raise ValueError("no band gap available for the carrier")
-    lo, hi, *_ = max(bands.gaps, key=lambda g: g[1] - g[0])
+    lo, hi = _widest_gap(bands)
     return 0.5 * (lo + hi)
 
 
@@ -305,6 +311,14 @@ class RunArtifacts:
     gate: GateResult | None
 
 
+def _csv(columns, rows):
+    """CSV text: strings verbatim, numbers to 17 significant digits."""
+    lines = [",".join(columns)]
+    for row in rows:
+        lines.append(",".join(v if isinstance(v, str) else _FMT.format(float(v)) for v in row))
+    return "\n".join(lines) + "\n"
+
+
 def _write_spectrum(path, spectrum, bands, setup):
     n = spectrum.reference.n_ions
     nu_c = setup.cyclotron_frequency / (2.0 * math.pi)
@@ -312,30 +326,149 @@ def _write_spectrum(path, spectrum, bands, setup):
     weights = np.abs(a_pos) ** 2
     weights = weights.reshape(len(weights), n, 3).sum(axis=2)
     weights = weights / weights.sum(axis=1, keepdims=True)
-    header = "mode,omega_over_omega_c,nu_hz,band,regularized," + ",".join(
-        f"w_ion{j}" for j in range(n)
+    columns = ["mode", "omega_over_omega_c", "nu_hz", "band", "regularized"]
+    rows = [
+        (k, omega, omega * nu_c, bands.labels[k], int(k == spectrum.regularized_mode), *weights[k])
+        for k, omega in enumerate(spectrum.frequencies)
+    ]
+    Path(path).write_text(_csv(columns + [f"w_ion{j}" for j in range(n)], rows))
+
+
+_FIDELITY_COLUMNS = ("T_K", "F", "infidelity", "branch")
+
+
+def _fidelity_rows(curve):
+    """(T, F, branch) rows of a fidelity curve as _FIDELITY_COLUMNS rows."""
+    return [(temp, value, 1.0 - value, branch) for temp, value, branch in curve]
+
+
+# Pipeline stages.  The CLI verbs, run_experiment and sweep all compute through
+# these functions; _run_stages chains them and writes the artifacts.
+
+@contextmanager
+def _stage(name):
+    """Re-raise any failure inside the block as StageError(name)."""
+    try:
+        yield
+    except Exception as exc:
+        raise StageError(name, str(exc)) from exc
+
+
+def _equilibrium(config: ExperimentConfig, setup) -> CrystalState:
+    return find_equilibrium(setup, config.p_theta, config.schedule())
+
+
+def _modes(state: CrystalState, setup):
+    spectrum = williamson(build_hessian(state))
+    return spectrum, classify_bands(spectrum, setup)
+
+
+def _gate_time(config: ExperimentConfig, state: CrystalState, setup):
+    """Rotation period tau_r and the configured gate time tau_g, in seconds."""
+    tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
+    return tau_r, config.tau_g_s if config.tau_g_s is not None else config.tau_ratio * tau_r
+
+
+def _carrier(config: ExperimentConfig, setup, state, spectrum, bands, pair, tau_g):
+    """Carrier angular frequency: the configured ``nu_hz``; otherwise the
+    middle of the widest band gap or, with ``tune_carrier``, the one of 13
+    carriers across the inner 60 % of that gap with the lowest infidelity at
+    the lowest configured temperature."""
+    if config.nu_hz != "auto-gap":
+        return 2.0 * math.pi * float(config.nu_hz)
+    omega_c = setup.cyclotron_frequency
+    if not config.tune_carrier:
+        return resolve_carrier(bands) * omega_c
+    lo, hi = _widest_gap(bands)
+    span = hi - lo
+    coldest = [min(config.temperatures_k)]
+
+    def infidelity(nu_tilde):
+        trial = _gate(config, setup, state, spectrum, pair, nu_tilde * omega_c, tau_g, coldest)
+        return 1.0 - trial.fidelity_curve[0][1]
+
+    return tune_carrier(np.linspace(lo + 0.2 * span, hi - 0.2 * span, 13), infidelity) * omega_c
+
+
+def _gate(config: ExperimentConfig, setup, state, spectrum, pair, nu, tau_g,
+          temperatures) -> GateResult:
+    """Amplitude calibrated to |theta| = pi, then the thermal fidelity at each
+    temperature from one residual displacement per driven ion."""
+    width = None if config.sigma_fraction is None else config.sigma_fraction * tau_g
+    gspec = GateSpec(target_pair=pair, carrier_frequency=nu, gate_time=tau_g,
+                     envelope_width=width)
+    amplitude, phase = calibrated_phase(gspec, spectrum, state, setup)
+    if abs(abs(phase.theta) - math.pi) > 1e-6:
+        raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
+    residuals = {
+        j: residual_displacement(gspec, spectrum, state, setup, j, amplitude=1.0)
+        for j in pair
+    }
+    rows = [
+        (float(temp), *fidelity(residuals[pair[0]], residuals[pair[1]], amplitude,
+                                spectrum, temp, setup))
+        for temp in temperatures
+    ]
+    return GateResult(
+        amplitude=amplitude,
+        theta=phase.theta,
+        theta_by_state=phase.by_state,
+        residuals=residuals,
+        fidelity_curve=rows,
+        carrier_frequency=nu,
+        gate_time=tau_g,
     )
-    lines = [header]
-    for k in range(spectrum.n_modes):
-        reg = 1 if k == spectrum.regularized_mode else 0
-        row = [
-            str(k),
-            _FMT.format(spectrum.frequencies[k]),
-            _FMT.format(spectrum.frequencies[k] * nu_c),
-            bands.labels[k],
-            str(reg),
-        ] + [_FMT.format(w) for w in weights[k]]
-        lines.append(",".join(row))
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _write_fidelity(path, rows):
-    lines = ["T_K,F,infidelity,branch"]
-    for temp, value, branch in rows:
-        lines.append(
-            ",".join([_FMT.format(temp), _FMT.format(value), _FMT.format(1.0 - value), branch])
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+def _run_stages(config: ExperimentConfig, last, out_dir=None):
+    """Run the stages up to ``last`` ("equilibrium", "modes" or "gate"),
+    writing each artifact as its stage completes and then the manifest.
+
+    Only a run that goes past the modes requires a planar crystal.  A failing
+    stage writes a FAILED marker and the manifest, then raises StageError.
+    """
+    config.validate()
+    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    started = time.time()
+    setup = config.setup()
+    run = SimpleNamespace(out=out, state=None, spectrum=None, bands=None, gate=None)
+    try:
+        with _stage("equilibrium"):
+            run.state = _equilibrium(config, setup)
+            save_state(run.state, out / "equilibrium.txt")
+            if last == "gate":
+                _require_planar(run.state)
+        if last != "equilibrium":
+            with _stage("modes"):
+                run.spectrum, run.bands = _modes(run.state, setup)
+                _write_spectrum(out / "spectrum.csv", run.spectrum, run.bands, setup)
+        if last == "gate":
+            with _stage("gate"):
+                pair = select_pair(run.state, config.pair_rule)
+                tau_r, tau_g = _gate_time(config, run.state, setup)
+                nu = _carrier(config, setup, run.state, run.spectrum, run.bands, pair, tau_g)
+                run.gate = _gate(config, setup, run.state, run.spectrum, pair, nu, tau_g,
+                                 config.temperatures_k)
+                (out / "fidelity.csv").write_text(
+                    _csv(_FIDELITY_COLUMNS, _fidelity_rows(run.gate.fidelity_curve)))
+                report = {
+                    "theta": run.gate.theta,
+                    "theta_by_state": run.gate.theta_by_state,
+                    "amplitude": run.gate.amplitude,
+                    "nu_hz": nu / (2.0 * math.pi),
+                    "tau_g_s": tau_g,
+                    "tau_g_over_tau_r": tau_g / tau_r,
+                    "pair": list(pair),
+                }
+                (out / "phase.json").write_text(
+                    json.dumps(report, indent=2, sort_keys=True) + "\n")
+    except StageError as exc:
+        (out / "FAILED").write_text(f"{exc.stage}: {exc.__cause__}\n")
+        _write_manifest(out / "manifest.txt", config, started, run.state, failed=exc.stage)
+        raise
+    _write_manifest(out / "manifest.txt", config, started, run.state)
+    return run
 
 
 def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
@@ -344,119 +477,16 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
     Stage failures are raised as StageError after flushing the artifacts
     produced so far together with a FAILED marker.
     """
-    config.validate()
-    out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "equilibrium": out / "equilibrium.txt",
-        "spectrum": out / "spectrum.csv",
-        "fidelity": out / "fidelity.csv",
-        "phase": out / "phase.json",
-        "manifest": out / "manifest.txt",
-    }
-    started = time.time()
-    setup = config.setup()
-    stage = "equilibrium"
-    gate_result = None
-    state = spectrum = None
-    try:
-        state = find_equilibrium(setup, config.p_theta, config.schedule())
-        save_state(state, paths["equilibrium"])
-        _require_planar(state)
-
-        stage = "modes"
-        spectrum = williamson(build_hessian(state))
-        bands = classify_bands(spectrum, setup)
-        _write_spectrum(paths["spectrum"], spectrum, bands, setup)
-
-        stage = "gate"
-        pair = select_pair(state, config.pair_rule)
-        tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
-        tau_g = config.tau_g_s if config.tau_g_s is not None else config.tau_ratio * tau_r
-
-        if config.nu_hz == "auto-gap":
-            nu_tilde = resolve_carrier(bands)
-            if config.tune_carrier:
-                lo, hi, *_ = max(bands.gaps, key=lambda g: g[1] - g[0])
-                span = hi - lo
-                grid = np.linspace(lo + 0.2 * span, hi - 0.2 * span, 13)
-
-                def evaluate(nu_try):
-                    spec_try = _gate_spec(config, pair, nu_try * setup.cyclotron_frequency, tau_g)
-                    amp_try = calibrate_amplitude(spec_try, spectrum, state, setup)
-                    rows_try = fidelity_curve(
-                        spec_try, spectrum, state, setup,
-                        [min(config.temperatures_k)], amplitude=amp_try,
-                    )
-                    return 1.0 - rows_try[0][1]
-
-                nu_tilde = tune_carrier(grid, evaluate)
-            nu = nu_tilde * setup.cyclotron_frequency
-        else:
-            nu = 2.0 * math.pi * float(config.nu_hz)
-
-        gspec = _gate_spec(config, pair, nu, tau_g)
-        amplitude, phase = calibrated_phase(gspec, spectrum, state, setup)
-        if abs(abs(phase.theta) - math.pi) > 1e-6:
-            raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
-
-        stage = "fidelity"
-        residuals = {
-            j: residual_displacement(gspec, spectrum, state, setup, j, amplitude=1.0)
-            for j in pair
-        }
-        rows = [
-            (float(temp), *fidelity(residuals[pair[0]], residuals[pair[1]], amplitude,
-                                    spectrum, temp, setup))
-            for temp in config.temperatures_k
-        ]
-        _write_fidelity(paths["fidelity"], rows)
-        gate_result = GateResult(
-            amplitude=amplitude,
-            theta=phase.theta,
-            theta_by_state=phase.by_state,
-            residuals=residuals,
-            fidelity_curve=rows,
-            carrier_frequency=nu,
-            gate_time=tau_g,
-        )
-        report = {
-            "theta": phase.theta,
-            "theta_by_state": phase.by_state,
-            "amplitude": amplitude,
-            "nu_hz": nu / (2.0 * math.pi),
-            "tau_g_s": tau_g,
-            "tau_g_over_tau_r": tau_g / tau_r,
-            "pair": list(pair),
-        }
-        paths["phase"].write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    except Exception as exc:
-        (out / "FAILED").write_text(f"{stage}: {exc}\n")
-        _write_manifest(paths["manifest"], config, started, state, failed=stage)
-        raise StageError(stage, str(exc)) from exc
-
-    _write_manifest(paths["manifest"], config, started, state)
+    run = _run_stages(config, "gate", out_dir)
     return RunArtifacts(
-        out_dir=out,
-        equilibrium_file=paths["equilibrium"],
-        spectrum_file=paths["spectrum"],
-        fidelity_file=paths["fidelity"],
-        phase_file=paths["phase"],
-        manifest_file=paths["manifest"],
-        state=state,
-        gate=gate_result,
-    )
-
-
-def _gate_spec(config: ExperimentConfig, pair, nu, tau_g):
-    width = None
-    if config.sigma_fraction is not None:
-        width = config.sigma_fraction * tau_g
-    return GateSpec(
-        target_pair=pair,
-        carrier_frequency=nu,
-        gate_time=tau_g,
-        envelope_width=width,
+        out_dir=run.out,
+        equilibrium_file=run.out / "equilibrium.txt",
+        spectrum_file=run.out / "spectrum.csv",
+        fidelity_file=run.out / "fidelity.csv",
+        phase_file=run.out / "phase.json",
+        manifest_file=run.out / "manifest.txt",
+        state=run.state,
+        gate=run.gate,
     )
 
 
@@ -478,15 +508,24 @@ def _write_manifest(path, config, started, state=None, failed=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_SWEEP_COLUMNS = {
+    "p_theta": ("p_theta", "omega_r_over_omega_c", "beta", "energy"),
+    "T": _FIDELITY_COLUMNS,
+    "nu": ("nu_hz", "amplitude", "T_K", "infidelity"),
+    "tau_g": ("tau_ratio", "nu_hz", "T_K", "F", "infidelity", "branch"),
+}
+
+
 def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
-    """Consolidated sweep over one parameter; one CSV row per grid point.
+    """Consolidated sweep over one parameter: one CSV row per grid point, and
+    one per grid point and temperature for ``tau_g``.
 
     Grid points are computed independently (thread pool), collected in grid
     order, and per-point failures become rows with an error code instead of
     aborting the sweep.
     """
     config.validate()
-    if parameter not in ("p_theta", "T", "nu", "tau_g"):
+    if parameter not in _SWEEP_COLUMNS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     if len(grid) == 0:
         raise ValueError("empty sweep grid")
@@ -498,81 +537,46 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
         def point(value):
             state = find_equilibrium(setup, float(value), initial_positions=base.positions)
-            return {
-                "p_theta": value,
-                "omega_r_over_omega_c": state.rotation_frequency,
-                "beta": state.anisotropy,
-                "energy": state.energy,
-            }
-
-        header = ["p_theta", "omega_r_over_omega_c", "beta", "energy", "status"]
+            return [(value, state.rotation_frequency, state.anisotropy, state.energy)]
     else:
-        try:
-            state = _require_planar(find_equilibrium(setup, config.p_theta, config.schedule()))
-        except (RuntimeError, ValueError) as exc:
-            raise StageError("equilibrium", str(exc)) from exc
-        spectrum = williamson(build_hessian(state))
-        bands = classify_bands(spectrum, setup)
+        with _stage("equilibrium"):
+            state = _require_planar(_equilibrium(config, setup))
+        with _stage("modes"):
+            spectrum, bands = _modes(state, setup)
         pair = select_pair(state, config.pair_rule)
-        tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
+        tau_r, tau_g = _gate_time(config, state, setup)
 
-        def gate_rows(nu, tau_g, temps):
-            gspec = _gate_spec(config, pair, nu, tau_g)
-            amplitude = calibrate_amplitude(gspec, spectrum, state, setup)
-            return gspec, amplitude, fidelity_curve(
-                gspec, spectrum, state, setup, temps, amplitude=amplitude
-            )
-
-        def default_nu(tau_g):
-            if config.nu_hz == "auto-gap":
-                return resolve_carrier(bands) * setup.cyclotron_frequency
-            return 2.0 * math.pi * float(config.nu_hz)
+        def gate(nu, tau, temperatures):
+            return _gate(config, setup, state, spectrum, pair, nu, tau, temperatures)
 
         if parameter == "T":
-            tau_g = config.tau_g_s if config.tau_g_s is not None else config.tau_ratio * tau_r
-            _, _, rows = gate_rows(default_nu(tau_g), tau_g, list(grid))
-            cache = {float(r[0]): r for r in rows}
+            nu = _carrier(config, setup, state, spectrum, bands, pair, tau_g)
+            by_temp = {row[0]: row for row in _fidelity_rows(gate(nu, tau_g, grid).fidelity_curve)}
 
             def point(value):
-                row = cache[float(value)]
-                return {"T_K": row[0], "F": row[1], "infidelity": 1.0 - row[1], "branch": row[2]}
-
-            header = ["T_K", "F", "infidelity", "branch", "status"]
+                return [by_temp[float(value)]]
         elif parameter == "nu":
-            tau_g = config.tau_g_s if config.tau_g_s is not None else config.tau_ratio * tau_r
+            coldest = [min(config.temperatures_k)]
 
             def point(value):
-                nu = 2.0 * math.pi * float(value)
-                _, amplitude, rows = gate_rows(nu, tau_g, [min(config.temperatures_k)])
-                return {
-                    "nu_hz": value,
-                    "amplitude": amplitude,
-                    "T_K": rows[0][0],
-                    "infidelity": 1.0 - rows[0][1],
-                }
-
-            header = ["nu_hz", "amplitude", "T_K", "infidelity", "status"]
-        else:  # tau_g sweep over tau_ratio values
+                result = gate(2.0 * math.pi * float(value), tau_g, coldest)
+                temp, fid, _ = result.fidelity_curve[0]
+                return [(value, result.amplitude, temp, 1.0 - fid)]
+        else:  # tau_g sweep over tau_ratio values, carrier_cycles periods per gate
 
             def point(value):
-                ratio = float(value)
-                tau_g = ratio * tau_r
-                nu = 2.0 * math.pi * config.carrier_cycles / tau_g
-                _, amplitude, rows = gate_rows(nu, tau_g, list(config.temperatures_k))
-                return {
-                    "tau_ratio": ratio,
-                    "nu_hz": nu / (2.0 * math.pi),
-                    "amplitude": amplitude,
-                    "curve": rows,
-                }
+                tau = float(value) * tau_r
+                nu = 2.0 * math.pi * config.carrier_cycles / tau
+                curve = gate(nu, tau, config.temperatures_k).fidelity_curve
+                return [(value, nu / (2.0 * math.pi), *row) for row in _fidelity_rows(curve)]
 
-            header = ["tau_ratio", "nu_hz", "T_K", "F", "infidelity", "branch", "status"]
+    columns = _SWEEP_COLUMNS[parameter]
 
     def safe_point(value):
         try:
-            return point(value), None
+            return [(*row, "ok") for row in point(value)]
         except Exception as exc:  # per-point failure becomes a row
-            return None, f"error:{type(exc).__name__}"
+            return [(value, *[""] * (len(columns) - 1), f"error:{type(exc).__name__}")]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -580,30 +584,7 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
     else:
         results = [safe_point(v) for v in grid]
 
-    lines = [",".join(header)]
-    for value, (payload, err) in zip(grid, results):
-        if err is not None:
-            row = [_FMT.format(float(value))] + [""] * (len(header) - 2) + [err]
-            lines.append(",".join(row))
-            continue
-        if parameter == "tau_g":
-            for temp, fval, branch in payload["curve"]:
-                lines.append(",".join([
-                    _FMT.format(payload["tau_ratio"]),
-                    _FMT.format(payload["nu_hz"]),
-                    _FMT.format(temp),
-                    _FMT.format(fval),
-                    _FMT.format(1.0 - fval),
-                    branch,
-                    "ok",
-                ]))
-        else:
-            row = []
-            for key in header[:-1]:
-                val = payload[key]
-                row.append(val if isinstance(val, str) else _FMT.format(float(val)))
-            lines.append(",".join(row + ["ok"]))
-    text = "\n".join(lines) + "\n"
+    text = _csv([*columns, "status"], [row for rows in results for row in rows])
     if out_path is not None:
         Path(out_path).write_text(text)
         _write_plot_script(Path(out_path), parameter)

@@ -21,14 +21,11 @@ from .beams import Scheme, build_pulse_sequence, verify_conditions
 from .bench import (
     ExperimentConfig,
     StageError,
-    _write_spectrum,
+    _run_stages,
     parse_config,
     run_experiment,
-    save_state,
     sweep,
 )
-from .crystal import find_equilibrium
-from .modes import build_hessian, classify_bands, williamson
 from .scales import BOHR_MAGNETON
 
 
@@ -43,30 +40,18 @@ def _load(args) -> ExperimentConfig:
 
 
 def _cmd_equilibrium(args):
-    config = _load(args)
-    state = find_equilibrium(config.setup(), config.p_theta, config.schedule())
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_state(state, out / "equilibrium.txt")
+    state = _run_stages(_load(args), "equilibrium").state
     print(
         f"equilibrium: N={state.n_ions} omega_r/omega_c={state.rotation_frequency:.6f} "
         f"beta={state.anisotropy:.3e} grad={state.gradient_norm:.2e}"
     )
-    return 0 if state.converged else 1
+    return 0
 
 
 def _cmd_modes(args):
-    config = _load(args)
-    setup = config.setup()
-    state = find_equilibrium(setup, config.p_theta, config.schedule())
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    save_state(state, out / "equilibrium.txt")
-    spectrum = williamson(build_hessian(state))
-    bands = classify_bands(spectrum, setup)
-    _write_spectrum(out / "spectrum.csv", spectrum, bands, setup)
-    gaps = ", ".join(f"({a:.4g}, {b:.4g})" for a, b, *_ in bands.gaps)
-    print(f"modes: {spectrum.n_modes} frequencies, gaps: {gaps or 'none'}")
+    run = _run_stages(_load(args), "modes")
+    gaps = ", ".join(f"({a:.4g}, {b:.4g})" for a, b, *_ in run.bands.gaps)
+    print(f"modes: {run.spectrum.n_modes} frequencies, gaps: {gaps or 'none'}")
     return 0
 
 
@@ -152,13 +137,14 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="key = value experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     common(sub.add_parser("equilibrium", help="solve the crystal equilibrium"))
     common(sub.add_parser("modes", help="equilibrium plus normal-mode spectrum"))
     common(sub.add_parser("gate", help="full gate pipeline with fidelity sweep"))
     p_sweep = sub.add_parser("sweep", help="sweep one parameter")
     common(p_sweep)
+    p_sweep.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the grid points")
     p_sweep.add_argument("--parameter", required=True,
                          choices=("p_theta", "T", "nu", "tau_g"))
     p_sweep.add_argument("--grid", required=True,

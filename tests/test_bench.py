@@ -1,5 +1,6 @@
 """Orchestration, persistence, config handling, and determinism."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +195,15 @@ def test_sweep_single_point_matches_run(tmp_path):
     text = sweep(config, "T", [config.temperatures_k[0]])
     line = text.splitlines()[1].split(",")
     assert float(line[0]) == config.temperatures_k[0]
-    assert float(line[1]) == pytest.approx(artifacts.gate.fidelity_curve[0][1], rel=1e-12)
+    assert float(line[1]) == artifacts.gate.fidelity_curve[0][1]
+
+
+def test_temperature_sweep_uses_the_tuned_carrier_of_the_gate_run(tmp_path):
+    config = small_config(tmp_path, tune_carrier=True)
+    artifacts = run_experiment(config)
+    first = artifacts.fidelity_file.read_text().splitlines()[1]
+    text = sweep(config, "T", [config.temperatures_k[0]])
+    assert text.splitlines()[1] == first + ",ok"
 
 
 def test_sweep_thread_invariance(tmp_path, setup_low, eq_low_p0):
@@ -317,3 +326,31 @@ def test_cli_verbs(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("species = Be+\n")
     assert main(["gate", "--config", str(bad)]) == 1
+
+
+def test_threads_is_a_sweep_flag_only(tmp_path):
+    from penninggate.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["gate", "--config", str(cfg), "--threads", "2"])
+    assert exc.value.code == 2
+
+
+def test_cli_planarity_guard_applies_past_the_modes(tmp_path, capsys):
+    from penninggate.cli import main
+
+    # N = 8 at P_theta = 2000 equilibrates at beta = 0.48 > beta_c(8) = 0.235
+    config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(config)) + "\n")
+    for verb in ("equilibrium", "modes"):
+        out = tmp_path / verb
+        assert main([verb, "--config", str(cfg), "--out", str(out)]) == 0
+        assert parse_config(out / "manifest.txt") == replace(config, out_dir=str(out))
+        assert not (out / "FAILED").exists()
+    assert (tmp_path / "modes" / "spectrum.csv").is_file()
+    capsys.readouterr()
+    assert main(["gate", "--config", str(cfg), "--out", str(tmp_path / "gate")]) == 1
+    assert "[equilibrium] crystal is not planar" in capsys.readouterr().err

@@ -320,6 +320,15 @@ def test_real_core_matches_complex_eigh_core(name, request, monkeypatch):
     assert np.abs(spec.frequencies - reference.frequencies)[physical].max() <= 1e-14
 
 
+@pytest.mark.parametrize("name", ["spectrum_high", "spectrum_n100"])
+def test_symplectic_polish_reaches_roundoff(name, request):
+    # without the first-order polish the N = 100 in-plane block misses
+    # S J S^T = J by about 3e-11, which the 1e-10 check inside the core passes
+    spec = request.getfixturevalue(name)
+    jmat = symplectic_form(3 * spec.reference.n_ions)
+    assert np.abs(spec.symplectic @ jmat @ spec.symplectic.T - jmat).max() <= 1e-13
+
+
 def test_coefficient_canonicity(spectrum_high):
     # column relations of S J S^T = J expressed through A = S_even + i S_odd:
     # position-position sums vanish, position-momentum pairs give the
