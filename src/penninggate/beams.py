@@ -57,12 +57,8 @@ class Scheme(enum.Enum):
     MIXED_P_HALF = "mixed-P1/2-only"
 
 
-_LEVEL_DATA = {
-    # level: (l, j, g_J from the Lande formula with s = 1/2)
-    Level.S12: (0, 0.5, 2.0),
-    Level.P12: (1, 0.5, 2.0 / 3.0),
-    Level.P32: (1, 1.5, 4.0 / 3.0),
-}
+# level: orbital and total angular momentum (l, j); the spin is 1/2
+_LEVEL_DATA = {Level.S12: (0, 0.5), Level.P12: (1, 0.5), Level.P32: (1, 1.5)}
 
 
 def lande_g(l, s, j):
@@ -76,10 +72,10 @@ def zeeman_shift(level: Level, m_j, field_t) -> float:
     The nuclear contribution is neglected (g_I is three orders of magnitude
     smaller).
     """
-    _, j, g = _LEVEL_DATA[level]
+    l, j = _LEVEL_DATA[level]
     if abs(m_j) > j + 1e-12 or (2 * m_j) != int(round(2 * m_j)):
         raise ValueError(f"invalid m_j = {m_j} for {level.value}")
-    return _MU_B * g * m_j * field_t
+    return _MU_B * lande_g(l, 0.5, j) * m_j * field_t
 
 
 def classify_regime(record: SpeciesRecord, field_t) -> Regime:
@@ -156,44 +152,42 @@ def dipole_force(term: ForceTerm, record: SpeciesRecord | None = None) -> float:
     return sign * term.chi / (coeff * const.hbar * d)
 
 
+# Beams 1 and 2 of each scheme on the plus (sigma+ style) half-period, as
+# (line, polarization); beam 1 carries delta_1 and chi_1, beam 2 delta_2 and
+# chi_2.  The minus half-period swaps sigma+ and sigma- on both beams.
+_SIGMA_PLUS, _SIGMA_MINUS = Polarization.SIGMA_PLUS, Polarization.SIGMA_MINUS
+_PLUS_BRANCH_BEAMS = {
+    Scheme.SAME_SIGMA_PLUS: ((Line.D1, _SIGMA_PLUS), (Line.D2, _SIGMA_PLUS)),
+    Scheme.SAME_SIGMA_MINUS: ((Line.D1, _SIGMA_MINUS), (Line.D2, _SIGMA_MINUS)),
+    Scheme.MIXED: ((Line.D1, _SIGMA_PLUS), (Line.D2, _SIGMA_MINUS)),
+    Scheme.MIXED_P_HALF: ((Line.D1, _SIGMA_PLUS), (Line.D1, _SIGMA_MINUS)),
+}
+_SWAP_CIRCULAR = {_SIGMA_PLUS: _SIGMA_MINUS, _SIGMA_MINUS: _SIGMA_PLUS}
+
+
+def _branch_beams(scheme: Scheme, branch):
+    """The (line, polarization) of beams 1 and 2 on one half-period;
+    ``branch`` is +1 for the sigma+ style half-period and -1 for sigma-."""
+    beams = _PLUS_BRANCH_BEAMS[scheme]
+    if branch > 0:
+        return beams
+    return tuple((line, _SWAP_CIRCULAR[pol]) for line, pol in beams)
+
+
+def _beam_forces(scheme: Scheme, branch, delta_1, delta_2, b_rate, chi_1=1.0, chi_2=1.0):
+    """Force of beams 1 and 2 of one half-period on each qubit state."""
+    return [
+        {state: dipole_force(ForceTerm(line, pol, state, delta, chi, b_rate))
+         for state in QubitState}
+        for (line, pol), delta, chi in zip(_branch_beams(scheme, branch),
+                                           (delta_1, delta_2), (chi_1, chi_2))
+    ]
+
+
 def _branch_forces(scheme: Scheme, branch, delta_1, delta_2, b_rate, chi_1, chi_2):
-    """Per-state force for one polarization branch of a scheme.
-
-    ``branch`` is +1 for the sigma+ style half-period and -1 for sigma-.
-    For MIXED the two beams carry opposite circular polarizations; for
-    MIXED_P_HALF both detunings address the D1 line.
-    """
-    def f(pol, line, state, delta, chi):
-        return dipole_force(ForceTerm(line, pol, state, delta, chi, b_rate))
-
-    sp, sm = Polarization.SIGMA_PLUS, Polarization.SIGMA_MINUS
-    if scheme in (Scheme.SAME_SIGMA_PLUS, Scheme.SAME_SIGMA_MINUS):
-        first = sp if scheme is Scheme.SAME_SIGMA_PLUS else sm
-        second = sm if first is sp else sp
-        pol = first if branch > 0 else second
-        out = {}
-        for state in QubitState:
-            out[state] = f(pol, Line.D1, state, delta_1, chi_1) + f(
-                pol, Line.D2, state, delta_2, chi_2
-            )
-        return out
-    if scheme is Scheme.MIXED:
-        pol_1, pol_2 = (sp, sm) if branch > 0 else (sm, sp)
-        out = {}
-        for state in QubitState:
-            out[state] = f(pol_1, Line.D1, state, delta_1, chi_1) + f(
-                pol_2, Line.D2, state, delta_2, chi_2
-            )
-        return out
-    if scheme is Scheme.MIXED_P_HALF:
-        pol_a, pol_b = (sp, sm) if branch > 0 else (sm, sp)
-        out = {}
-        for state in QubitState:
-            out[state] = f(pol_a, Line.D1, state, delta_1, chi_1) + f(
-                pol_b, Line.D1, state, delta_2, chi_2
-            )
-        return out
-    raise ValueError(f"unknown scheme {scheme}")
+    """Per-state force of one half-period: the sum over its two beams."""
+    first, second = _beam_forces(scheme, branch, delta_1, delta_2, b_rate, chi_1, chi_2)
+    return {state: first[state] + second[state] for state in QubitState}
 
 
 @dataclass(frozen=True)
@@ -206,34 +200,24 @@ def solve_intensity_ratio(scheme: Scheme, delta_1, delta_2, b_rate,
                           branch=+1) -> IntensityRatio:
     """Intensity ratio chi_1/chi_2 enforcing opposite forces on the two states.
 
-    Closed forms per scheme; for the same-polarization sigma+ pair,
+    The force is linear in each intensity, so with F_i(s) the force of beam
+    i at unit intensity on state s, f(0) + f(1) = 0 gives
+
+        chi_1/chi_2 = -(F_2(0) + F_2(1)) / (F_1(0) + F_1(1)).
+
+    For the same-polarization sigma+ pair this is the closed form
 
         chi_1/chi_2 = (4B - 3 d1)(2 d2 - 3B) / ((d2 - B)(3 d2 - 5B)).
 
-    A negative ratio cannot be realized with physical intensities and is
+    A detuning resonant with a Zeeman shift raises ZeroDivisionError.  A
+    negative ratio cannot be realized with physical intensities and is
     flagged rather than silently accepted.
     """
-    b = b_rate if branch > 0 else -b_rate
-    d1, d2 = delta_1, delta_2
-    if scheme in (Scheme.SAME_SIGMA_PLUS, Scheme.SAME_SIGMA_MINUS):
-        if scheme is Scheme.SAME_SIGMA_MINUS:
-            b = -b
-        denom = (d2 - b) * (3 * d2 - 5 * b)
-        if denom == 0.0:
-            raise ZeroDivisionError("singular denominator in the intensity-ratio solve")
-        value = (4 * b - 3 * d1) * (2 * d2 - 3 * b) / denom
-    elif scheme is Scheme.MIXED:
-        denom = (d2 + b) * (3 * d2 + 5 * b)
-        if denom == 0.0:
-            raise ZeroDivisionError("singular denominator in the intensity-ratio solve")
-        value = (4 * b - 3 * d1) * (2 * d2 + 3 * b) / denom
-    elif scheme is Scheme.MIXED_P_HALF:
-        denom = 3 * d2 + 4 * b
-        if denom == 0.0:
-            raise ZeroDivisionError("singular denominator in the intensity-ratio solve")
-        value = (4 * b - 3 * d1) / denom
-    else:
-        raise ValueError(f"unknown scheme {scheme}")
+    first, second = _beam_forces(scheme, branch, delta_1, delta_2, b_rate)
+    denom = sum(first.values())
+    if denom == 0.0:
+        raise ZeroDivisionError("singular denominator in the intensity-ratio solve")
+    value = -sum(second.values()) / denom
     return IntensityRatio(value=value, physical=value > 0.0)
 
 
@@ -298,7 +282,7 @@ class PulseSequence:
 
 
 def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate,
-                         peak_intensity=1.0, minus_branch_detunings=None) -> PulseSequence:
+                         peak_intensity=1.0) -> PulseSequence:
     """Assemble the alternating-polarization pulse train of one scheme.
 
     Each half-period carries the sin^2(nu t) envelope with the branch's
@@ -308,10 +292,9 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
     """
     if n_periods < 1 or nu <= 0:
         raise ValueError("need a positive modulation frequency and period count")
-    d1m, d2m = minus_branch_detunings if minus_branch_detunings is not None else (delta_1, delta_2)
 
     ratio_p = solve_intensity_ratio(scheme, delta_1, delta_2, b_rate, branch=+1)
-    ratio_m = solve_intensity_ratio(scheme, d1m, d2m, b_rate, branch=-1)
+    ratio_m = solve_intensity_ratio(scheme, delta_1, delta_2, b_rate, branch=-1)
     for branch, ratio in (("+", ratio_p), ("-", ratio_m)):
         if not ratio.physical:
             raise ValueError(
@@ -320,7 +303,7 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
             )
 
     forces_p = _branch_forces(scheme, +1, delta_1, delta_2, b_rate, ratio_p.value, 1.0)
-    forces_m = _branch_forces(scheme, -1, d1m, d2m, b_rate, ratio_m.value, 1.0)
+    forces_m = _branch_forces(scheme, -1, delta_1, delta_2, b_rate, ratio_m.value, 1.0)
     f0p = forces_p[QubitState.ZERO]
     f0m = forces_m[QubitState.ZERO]
     if f0p == 0.0 or f0m == 0.0:
@@ -338,16 +321,14 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
     }
 
     half = math.pi / nu
-    lines = (Line.D1, Line.D2) if scheme is not Scheme.MIXED_P_HALF else (Line.D1, Line.D1)
     segments = []
     for period in range(n_periods):
-        for half_idx, (branch, ratio, deltas, scale) in enumerate(
-            (("+", ratio_p, (delta_1, delta_2), 1.0), ("-", ratio_m, (d1m, d2m), scale_m))
+        for half_idx, (sign, branch, ratio, scale) in enumerate(
+            ((+1, "+", ratio_p, 1.0), (-1, "-", ratio_m, scale_m))
         ):
             start = (2 * period + half_idx) * half
-            pols = _branch_polarizations(scheme, +1 if branch == "+" else -1)
-            intensities = (ratio.value, 1.0)
-            for line, pol, delta, rel in zip(lines, pols, deltas, intensities):
+            for (line, pol), delta, rel in zip(_branch_beams(scheme, sign),
+                                               (delta_1, delta_2), (ratio.value, 1.0)):
                 segments.append(
                     PulseSegment(
                         start=start,
@@ -366,16 +347,6 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
         b_rate=b_rate,
         state_coefficients=state_coefficients,
     )
-
-
-def _branch_polarizations(scheme: Scheme, branch):
-    sp, sm = Polarization.SIGMA_PLUS, Polarization.SIGMA_MINUS
-    if scheme is Scheme.SAME_SIGMA_PLUS or scheme is Scheme.SAME_SIGMA_MINUS:
-        first = sp if scheme is Scheme.SAME_SIGMA_PLUS else sm
-        second = sm if first is sp else sp
-        pol = first if branch > 0 else second
-        return (pol, pol)
-    return (sp, sm) if branch > 0 else (sm, sp)
 
 
 @dataclass(frozen=True)

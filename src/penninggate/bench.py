@@ -32,20 +32,11 @@ except Exception:  # not installed: manifest still gets written
 from .crystal import (
     AnnealSchedule,
     CrystalState,
-    beta_from_ratio,
     default_schedule,
-    effective_potential,
-    effective_potential_gradient,
     find_equilibrium,
     reduced_energy,
 )
-from .gate import (
-    GateResult,
-    GateSpec,
-    calibrated_phase,
-    fidelity,
-    residual_displacement,
-)
+from .gate import GateResult, GateSpec, calibrated_phase, fidelity_curve
 from .modes import build_hessian, classify_bands, williamson
 from .scales import TrapSetup, beta_critical, get_species
 
@@ -223,25 +214,14 @@ def load_state(path, grad_tol=1e-10) -> CrystalState:
         raise ValueError(
             f"{path}:{len(text)}: expected {n_expected} position rows, found {len(rows)}"
         )
-    positions = np.array(rows, dtype=float)
-    alpha_z = float(header["alpha_z"])
-    alpha_r = float(header["omega_r_over_omega_c"])
+    state = CrystalState.at(np.array(rows, dtype=float), float(header["omega_r_over_omega_c"]),
+                            float(header["alpha_z"]))
     energy = float(header["energy"])
-    recomputed = effective_potential(positions, alpha_r, alpha_z)
-    if abs(recomputed - energy) > 1e-12 * max(abs(energy), 1.0):
+    if abs(state.energy - energy) > 1e-12 * max(abs(energy), 1.0):
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
-    grad = effective_potential_gradient(positions, alpha_r, alpha_z)
-    gnorm = float(np.linalg.norm(grad))
-    state = CrystalState(
-        positions=positions,
-        axial_ratio=alpha_z,
-        rotation_frequency=alpha_r,
-        angular_momentum=float(header["P_theta"]),
-        anisotropy=beta_from_ratio(alpha_r, alpha_z),
-        energy=energy,
-        converged=gnorm < grad_tol,
-        gradient_norm=gnorm,
-    )
+    # the header's P_theta is kept, so validate() checks it against the positions
+    state = replace(state, angular_momentum=float(header["P_theta"]), energy=energy,
+                    converged=state.gradient_norm < grad_tol)
     try:
         state.validate()
     except ValueError as exc:
@@ -393,28 +373,19 @@ def _carrier(config: ExperimentConfig, setup, state, spectrum, bands, pair, tau_
 def _gate(config: ExperimentConfig, setup, state, spectrum, pair, nu, tau_g,
           temperatures) -> GateResult:
     """Amplitude calibrated to |theta| = pi, then the thermal fidelity at each
-    temperature from one residual displacement per driven ion."""
+    temperature."""
     width = None if config.sigma_fraction is None else config.sigma_fraction * tau_g
     gspec = GateSpec(target_pair=pair, carrier_frequency=nu, gate_time=tau_g,
                      envelope_width=width)
     amplitude, phase = calibrated_phase(gspec, spectrum, state, setup)
     if abs(abs(phase.theta) - math.pi) > 1e-6:
         raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
-    residuals = {
-        j: residual_displacement(gspec, spectrum, state, setup, j, amplitude=1.0)
-        for j in pair
-    }
-    rows = [
-        (float(temp), *fidelity(residuals[pair[0]], residuals[pair[1]], amplitude,
-                                spectrum, temp, setup))
-        for temp in temperatures
-    ]
     return GateResult(
         amplitude=amplitude,
         theta=phase.theta,
         theta_by_state=phase.by_state,
-        residuals=residuals,
-        fidelity_curve=rows,
+        fidelity_curve=fidelity_curve(gspec, spectrum, state, setup, temperatures,
+                                      amplitude=amplitude),
         carrier_frequency=nu,
         gate_time=tau_g,
     )

@@ -21,6 +21,7 @@ from .beams import Scheme, build_pulse_sequence, verify_conditions
 from .bench import (
     ExperimentConfig,
     StageError,
+    _csv,
     _run_stages,
     parse_config,
     run_experiment,
@@ -104,22 +105,12 @@ def _cmd_pulse_design(args):
     report = verify_conditions(seq)
     out = Path(args.out or "pulse")
     out.mkdir(parents=True, exist_ok=True)
-    lines = ["t_start,duration,line,polarization,detuning_Hz,intensity_rel,ratio_branch"]
-    for seg in seq.segments:
-        lines.append(
-            ",".join(
-                [
-                    f"{seg.start:.17g}",
-                    f"{seg.duration:.17g}",
-                    seg.line.value,
-                    seg.polarization.value,
-                    f"{seg.detuning / (2 * math.pi):.17g}",
-                    f"{seg.peak_intensity:.17g}",
-                    seg.ratio_branch,
-                ]
-            )
-        )
-    (out / "pulse_sequence.csv").write_text("\n".join(lines) + "\n")
+    columns = ("t_start", "duration", "line", "polarization", "detuning_Hz", "intensity_rel",
+               "ratio_branch")
+    rows = [(seg.start, seg.duration, seg.line.value, seg.polarization.value,
+             seg.detuning / (2 * math.pi), seg.peak_intensity, seg.ratio_branch)
+            for seg in seq.segments]
+    (out / "pulse_sequence.csv").write_text(_csv(columns, rows))
     worst = max(report.opposition_residual, *report.mean_residual.values())
     print(
         f"pulse-design: {len(seq.segments)} segments, opposition residual "

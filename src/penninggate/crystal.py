@@ -48,6 +48,24 @@ class CrystalState:
     gradient_norm: float
     refine_iterations: int | None = None
 
+    @classmethod
+    def at(cls, positions, alpha_r, axial_ratio, converged=False, refine_iterations=None):
+        """State of ``positions`` at rotation alpha_r, with the anisotropy,
+        P_theta, energy and gradient norm that follow from them."""
+        positions = np.asarray(positions, dtype=float)
+        grad = effective_potential_gradient(positions, alpha_r, axial_ratio)
+        return cls(
+            positions=positions,
+            axial_ratio=axial_ratio,
+            rotation_frequency=alpha_r,
+            angular_momentum=total_angular_momentum(positions, alpha_r),
+            anisotropy=beta_from_ratio(alpha_r, axial_ratio),
+            energy=effective_potential(positions, alpha_r, axial_ratio),
+            converged=converged,
+            gradient_norm=float(np.linalg.norm(grad)),
+            refine_iterations=refine_iterations,
+        )
+
     @property
     def n_ions(self) -> int:
         return self.positions.shape[0]
@@ -215,23 +233,6 @@ def reduced_energy_gradient(positions, p_theta, axial_ratio):
     return effective_potential_gradient(positions, alpha_r, axial_ratio)
 
 
-def _state_from_positions(positions, p_theta, axial_ratio, converged=False, iterations=None):
-    alpha_r = rotation_frequency_from_ptheta(positions, p_theta)
-    beta = beta_from_ratio(alpha_r, axial_ratio)
-    grad = effective_potential_gradient(positions, alpha_r, axial_ratio)
-    return CrystalState(
-        positions=np.array(positions, dtype=float),
-        axial_ratio=axial_ratio,
-        rotation_frequency=alpha_r,
-        angular_momentum=total_angular_momentum(positions, alpha_r),
-        anisotropy=beta,
-        energy=effective_potential(positions, alpha_r, axial_ratio),
-        converged=converged,
-        gradient_norm=float(np.linalg.norm(grad)),
-        refine_iterations=iterations,
-    )
-
-
 def hex_lattice(n_ions):
     """First n sites of a unit-spacing 2D hexagonal lattice, centered."""
     sites = [(0.0, 0.0)]
@@ -300,13 +301,12 @@ def _seed_positions(setup: TrapSetup, p_theta):
     return positions
 
 
-def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule, initial_positions=None):
+def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     """Multi-start L-BFGS search of the reduced energy at fixed P_theta.
 
     Each of the ``schedule.cycles`` starts is a planar hexagonal seed at the
     virial spacing, jittered by ``schedule.step_size`` from
-    ``schedule.seed``; ``initial_positions``, when given, is every start
-    instead, unjittered.  Each start runs L-BFGS-B with the analytic gradient
+    ``schedule.seed``.  Each start runs L-BFGS-B with the analytic gradient
     for at most ``schedule.steps_per_cycle`` iterations at scipy's default
     tolerances, since Newton refinement finishes the job.  Those stop short
     of the basin minimum by more than the gaps between basins once N is
@@ -330,12 +330,8 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule, initial_position
             result = minimize(objective, start.reshape(-1), jac=True, method="L-BFGS-B",
                               options={"maxiter": schedule.steps_per_cycle})
             start = result.x.reshape(n, 3)
-        return _state_from_positions(start, p_theta, alpha_z)
+        return CrystalState.at(start, rotation_frequency_from_ptheta(start, p_theta), alpha_z)
 
-    if initial_positions is not None:
-        # identical starts give identical candidates: search once
-        start = np.array(initial_positions, dtype=float).reshape(n, 3)
-        return [search(start)] * schedule.cycles
     lattice = _seed_positions(setup, p_theta)
     rng = np.random.default_rng(schedule.seed)
     return [search(lattice + schedule.step_size * rng.standard_normal((n, 3)))
@@ -418,18 +414,7 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
             pos, iterations, converged = refine_loop(pos, iterations)
 
     # refinement runs at fixed alpha_r; the state's P_theta follows the positions
-    grad = effective_potential_gradient(pos, alpha_r, alpha_z)
-    return CrystalState(
-        positions=pos,
-        axial_ratio=alpha_z,
-        rotation_frequency=alpha_r,
-        angular_momentum=total_angular_momentum(pos, alpha_r),
-        anisotropy=beta,
-        energy=effective_potential(pos, alpha_r, alpha_z),
-        converged=converged,
-        gradient_norm=float(np.linalg.norm(grad)),
-        refine_iterations=iterations,
-    )
+    return CrystalState.at(pos, alpha_r, alpha_z, converged, iterations)
 
 
 def default_schedule(setup: TrapSetup, p_theta=0.0, seed=0) -> AnnealSchedule:
@@ -514,17 +499,7 @@ def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
         start = cache["positions"]
         if cache["beta"] is not None and cache["beta"] != beta:
             start = start * (cache["beta"] / beta) ** (1.0 / 3.0)
-        candidate = CrystalState(
-            positions=np.array(start, dtype=float),
-            axial_ratio=alpha_z,
-            rotation_frequency=alpha_r,
-            angular_momentum=total_angular_momentum(start, alpha_r),
-            anisotropy=beta,
-            energy=effective_potential(start, alpha_r, alpha_z),
-            converged=False,
-            gradient_norm=math.inf,
-        )
-        state = newton_refine(candidate, grad_tol=grad_tol)
+        state = newton_refine(CrystalState.at(start, alpha_r, alpha_z), grad_tol=grad_tol)
         if not state.converged:
             raise RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
         cache["positions"] = state.positions

@@ -32,7 +32,7 @@ class GateSpec:
     """Force and pulse parameters of one gate run.
 
     ``carrier_frequency`` is the physical modulation nu in rad/s, times are
-    seconds.  The Gaussian envelope is centred in the gate window by default
+    seconds.  The Gaussian envelope is centred in the gate window, by default
     with width gate_time/9, which suppresses the window-edge force below
     1e-8 of the peak.  For this Gaussian carrier the phase kernel is closed
     form (Dawson's function), used while its rigorous window-truncation bound
@@ -46,7 +46,6 @@ class GateSpec:
     target_pair: tuple
     carrier_frequency: float
     gate_time: float
-    envelope_center: float | None = None
     envelope_width: float | None = None
     amplitude: float = 1.0
     nodes_per_period: int = 40
@@ -66,7 +65,7 @@ class GateSpec:
 
     @property
     def center(self) -> float:
-        return 0.5 * self.gate_time if self.envelope_center is None else self.envelope_center
+        return 0.5 * self.gate_time
 
     @property
     def width(self) -> float:
@@ -82,7 +81,6 @@ class GateResult:
     amplitude: float
     theta: float
     theta_by_state: dict
-    residuals: dict                  # ion index -> complex per-mode array (unit amplitude)
     fidelity_curve: list             # rows (T_K, F, branch)
     carrier_frequency: float
     gate_time: float
@@ -249,10 +247,11 @@ def _gaussian_phase_kernel(dims, omegas):
     """Infinite-line G_k of the Gaussian carrier and a bound on |Delta G_k|,
     the error of dropping the window [0, tau].
 
-    With F Dawson's function, sigma the width and t_c the centre,
+    With F Dawson's function and sigma the width,
     G_k = (sqrt(pi) sigma^2 / 2) [(F((w+nu) sigma/sqrt2) + F((w-nu) sigma/sqrt2)) / 2
     + exp(-nu^2 sigma^2 / 2) F(w sigma/sqrt2)].  The bound is
-    T [|C(w)| + 3T/2], with T >= int |c| outside the window and
+    T [|C(w)| + 3T/2], with T = sqrt(pi) sigma erfc(tau / (2 sigma)) >= int |c|
+    outside the window of the centred envelope and
     |C(w)| = (sqrt(pi) sigma / 2)(e^(-(w-nu)^2 sigma^2/4) + e^(-(w+nu)^2 sigma^2/4))
     the carrier's Fourier magnitude.
     """
@@ -262,9 +261,7 @@ def _gaussian_phase_kernel(dims, omegas):
     kernel = 0.5 * math.sqrt(math.pi) * sigma**2 * (
         0.5 * (dawsn(x + y) + dawsn(x - y)) + math.exp(-y * y) * dawsn(x)
     )
-    tail = 0.5 * math.sqrt(math.pi) * sigma * (
-        erfc(dims["center"] / sigma) + erfc((dims["tau"] - dims["center"]) / sigma)
-    )
+    tail = math.sqrt(math.pi) * sigma * erfc(0.5 * dims["tau"] / sigma)
     transform = 0.5 * math.sqrt(math.pi) * sigma * (
         np.exp(-0.5 * (x - y) ** 2) + np.exp(-0.5 * (x + y) ** 2)
     )

@@ -20,11 +20,6 @@ BOHR_RADIUS = const.physical_constants["Bohr radius"][0]
 ATOMIC_DIPOLE = const.e * BOHR_RADIUS  # e*a0 in C*m
 BOHR_MAGNETON = const.physical_constants["Bohr magneton"][0]
 
-# Lande factors in LS coupling for the levels we use.
-G_S12 = 2.0
-G_P12 = 2.0 / 3.0
-G_P32 = 4.0 / 3.0
-
 
 @dataclass(frozen=True)
 class IonSpecies:
@@ -45,9 +40,6 @@ class IonSpecies:
     omega_d2: float
     dipole_d1: float
     dipole_d2: float
-    g_s12: float = G_S12
-    g_p12: float = G_P12
-    g_p32: float = G_P32
 
     def __post_init__(self):
         if self.mass <= 0:
@@ -56,13 +48,6 @@ class IonSpecies:
             raise ValueError("linewidth must be positive")
         if self.fine_structure_splitting <= 0:
             raise ValueError("fine-structure splitting must be positive")
-        for got, want, label in (
-            (self.g_s12, G_S12, "g_J(S_1/2)"),
-            (self.g_p12, G_P12, "g_J(P_1/2)"),
-            (self.g_p32, G_P32, "g_J(P_3/2)"),
-        ):
-            if abs(got - want) > 1e-12:
-                raise ValueError(f"{label} = {got} deviates from the LS value {want}")
 
 
 @dataclass(frozen=True)

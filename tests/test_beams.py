@@ -140,6 +140,36 @@ def test_sigma_plus_ratio_closed_form():
     assert ratio.value == pytest.approx(expected, rel=1e-14)
 
 
+def _closed_form_ratio(scheme, d1, d2, b, branch):
+    """The ratios solved by hand, one closed form per scheme."""
+    b = b if branch > 0 else -b
+    if scheme is Scheme.SAME_SIGMA_MINUS:
+        scheme, b = Scheme.SAME_SIGMA_PLUS, -b
+    if scheme is Scheme.SAME_SIGMA_PLUS:
+        return (4 * b - 3 * d1) * (2 * d2 - 3 * b) / ((d2 - b) * (3 * d2 - 5 * b))
+    if scheme is Scheme.MIXED:
+        return (4 * b - 3 * d1) * (2 * d2 + 3 * b) / ((d2 + b) * (3 * d2 + 5 * b))
+    return (4 * b - 3 * d1) / (3 * d2 + 4 * b)  # MIXED_P_HALF
+
+
+def test_intensity_ratio_matches_closed_forms():
+    rng = np.random.default_rng(2010)
+    for _ in range(500):
+        b = rng.uniform(1e8, 5e9)
+        d1, d2 = rng.choice([-1.0, 1.0], 2) * rng.uniform(1e10, 5e11, 2)
+        for scheme in Scheme:
+            for branch in (+1, -1):
+                value = solve_intensity_ratio(scheme, d1, d2, b, branch=branch).value
+                assert value == pytest.approx(_closed_form_ratio(scheme, d1, d2, b, branch),
+                                              rel=1e-14)
+
+
+def test_intensity_ratio_resonant_detuning_raises():
+    b = 3e9
+    with pytest.raises(ZeroDivisionError):
+        solve_intensity_ratio(Scheme.SAME_SIGMA_PLUS, -2e11, b, b)
+
+
 def test_intensity_ratio_back_substitution():
     rng = np.random.default_rng(99)
     for _ in range(1000):

@@ -129,11 +129,14 @@ def test_anneal_two_ions_near_oracle(small_pair_setup):
 
 
 def test_anneal_zero_steps_returns_seed(small_pair_setup):
+    # zero L-BFGS steps: every candidate is its jittered virial-lattice start
     schedule = AnnealSchedule(cycles=2, steps_per_cycle=0, step_size=1.0, seed=9)
-    seed_pos = np.array([[3.0, 0.0, 0.0], [-3.0, 0.0, 0.0]])
-    candidates = anneal(small_pair_setup, 0.0, schedule, initial_positions=seed_pos)
+    lattice = _seed_positions(small_pair_setup, 0.0)
+    rng = np.random.default_rng(9)
+    candidates = anneal(small_pair_setup, 0.0, schedule)
+    assert len(candidates) == 2
     for cand in candidates:
-        np.testing.assert_array_equal(cand.positions, seed_pos)
+        np.testing.assert_array_equal(cand.positions, lattice + rng.standard_normal((2, 3)))
 
 
 def test_anneal_deterministic_for_fixed_seed(small_pair_setup):

@@ -15,6 +15,7 @@ from penninggate import (
     derive_scales,
     effective_radial_frequency,
     get_species,
+    lande_g,
     load_species_table,
     stability_class,
     trap_frequencies,
@@ -150,13 +151,14 @@ def test_anisotropy_reflection_symmetry(setup_low):
 def test_species_table_lande_factors_and_thresholds():
     import scipy.constants as const
 
+    # LS-coupling Lande factors of S_1/2, P_1/2 and P_3/2 (s = 1/2)
+    assert lande_g(0, 0.5, 0.5) == pytest.approx(2.0, abs=1e-12)
+    assert lande_g(1, 0.5, 0.5) == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert lande_g(1, 0.5, 1.5) == pytest.approx(4.0 / 3.0, abs=1e-12)
     table = load_species_table()
     assert set(table) == {"Be+", "Mg+", "Ca+", "Na"}
     for record in table.values():
         sp = record.species
-        assert sp.g_s12 == pytest.approx(2.0, abs=1e-12)
-        assert sp.g_p12 == pytest.approx(2.0 / 3.0, abs=1e-12)
-        assert sp.g_p32 == pytest.approx(4.0 / 3.0, abs=1e-12)
         # tabulated regime bounds are consistent with the splitting:
         # mu_B B_Z ~ DeltaE/2 and B_PB = 4 B_Z
         mu_b = const.physical_constants["Bohr magneton"][0]
@@ -170,7 +172,7 @@ def test_species_invariant_rejection():
     with pytest.raises(ValueError):
         IonSpecies(
             name="bad",
-            mass=good.mass,
+            mass=0.0,
             charge=good.charge,
             fine_structure_splitting=good.fine_structure_splitting,
             linewidth=good.linewidth,
@@ -178,7 +180,6 @@ def test_species_invariant_rejection():
             omega_d2=good.omega_d2,
             dipole_d1=good.dipole_d1,
             dipole_d2=good.dipole_d2,
-            g_p12=0.5,
         )
     with pytest.raises(KeyError):
         get_species("Xe+")
