@@ -487,13 +487,20 @@ _SWEEP_COLUMNS = {
 }
 
 
+def _status(fid):
+    """Sweep-row status of a calibrated gate's fidelity: ``underflow`` where F
+    is exactly 0, since such a row no longer says how far off the gate is."""
+    return "underflow" if fid == 0.0 else "ok"
+
+
 def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
     """Consolidated sweep over one parameter: one CSV row per grid point, and
     one per grid point and temperature for ``tau_g``.
 
     Grid points are computed independently (thread pool), collected in grid
     order, and per-point failures become rows with an error code instead of
-    aborting the sweep.
+    aborting the sweep.  A ``T``, ``nu`` or ``tau_g`` row whose F underflowed
+    to 0 keeps its numbers with status ``underflow``.
     """
     config.validate()
     if parameter not in _SWEEP_COLUMNS:
@@ -508,7 +515,7 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
         def point(value):
             state = find_equilibrium(setup, float(value), initial_positions=base.positions)
-            return [(value, state.rotation_frequency, state.anisotropy, state.energy)]
+            return [(value, state.rotation_frequency, state.anisotropy, state.energy, "ok")]
     else:
         with _stage("equilibrium"):
             state = _require_planar(_equilibrium(config, setup))
@@ -522,7 +529,8 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
         if parameter == "T":
             nu = _carrier(config, setup, state, spectrum, bands, pair, tau_g)
-            by_temp = {row[0]: row for row in _fidelity_rows(gate(nu, tau_g, grid).fidelity_curve)}
+            by_temp = {row[0]: (*row, _status(row[1]))
+                       for row in _fidelity_rows(gate(nu, tau_g, grid).fidelity_curve)}
 
             def point(value):
                 return [by_temp[float(value)]]
@@ -532,20 +540,21 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
             def point(value):
                 result = gate(2.0 * math.pi * float(value), tau_g, coldest)
                 temp, fid, _ = result.fidelity_curve[0]
-                return [(value, result.amplitude, temp, 1.0 - fid)]
+                return [(value, result.amplitude, temp, 1.0 - fid, _status(fid))]
         else:  # tau_g sweep over tau_ratio values, carrier_cycles periods per gate
 
             def point(value):
                 tau = float(value) * tau_r
                 nu = 2.0 * math.pi * config.carrier_cycles / tau
                 curve = gate(nu, tau, config.temperatures_k).fidelity_curve
-                return [(value, nu / (2.0 * math.pi), *row) for row in _fidelity_rows(curve)]
+                return [(value, nu / (2.0 * math.pi), *row, _status(row[1]))
+                        for row in _fidelity_rows(curve)]
 
     columns = _SWEEP_COLUMNS[parameter]
 
     def safe_point(value):
         try:
-            return [(*row, "ok") for row in point(value)]
+            return point(value)
         except Exception as exc:  # per-point failure becomes a row
             return [(value, *[""] * (len(columns) - 1), f"error:{type(exc).__name__}")]
 

@@ -87,7 +87,7 @@ def _cmd_sweep(args):
     path = out / f"sweep_{args.parameter}.csv"
     text = sweep(config, args.parameter, grid, out_path=path, threads=args.threads)
     bad = sum(1 for line in text.splitlines()[1:] if not line.endswith(",ok"))
-    print(f"sweep: {len(grid)} points -> {path} ({bad} failed)")
+    print(f"sweep: {len(grid)} points -> {path} ({bad} rows not ok)")
     return 0 if bad == 0 else 1
 
 

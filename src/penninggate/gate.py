@@ -208,21 +208,21 @@ def mode_drive(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
 
 
 def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-                          setup: TrapSetup, ion: int, amplitude=None):
-    """Per-mode residual displacement integrals for one driven ion.
+                          setup: TrapSetup, amplitude=None):
+    """Per-mode residual displacement integrals of both driven ions, shape (2, 3N).
 
-    I_k = omega_k^(-1/2) * integral_0^tau exp(i omega_k t) alpha_k(t) dt with
-    only this ion's force and no qubit sign; linear in the amplitude.
+    Row r holds I_k = omega_k^(-1/2) * integral_0^tau exp(i omega_k t)
+    alpha_k(t) dt with only ion ``spec.target_pair[r]``'s force and no qubit
+    sign; linear in the amplitude.  The two ions differ only in their
+    coupling, so one grid and one drive integral serve both.
     """
-    if ion not in spec.target_pair:
-        raise ValueError("residuals are defined for the driven ions")
     dims = _dimensionless(spec, setup)
     grid = _grid(spec, spectrum, setup)
     couplings = pair_couplings(spec, spectrum, state, setup)
     prefactor = _force_prefactor(spec, state, setup, amplitude=amplitude)
-    profile = prefactor * _carrier(grid.flat_times, dims)
     omegas = spectrum.frequencies
-    return couplings[ion] * grid.fourier(profile, omegas) / np.sqrt(omegas)
+    integral = grid.fourier(prefactor * _carrier(grid.flat_times, dims), omegas)
+    return np.stack([couplings[j] * integral / np.sqrt(omegas) for j in spec.target_pair])
 
 
 def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
@@ -334,16 +334,15 @@ def calibrate_amplitude(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalSt
 
 
 def thermal_weights(frequencies, temperature, setup: TrapSetup, skip=None):
-    """Per-mode factor 1/(1 - exp(-hbar omega_k / k_B T)) with physical omega."""
-    if temperature <= 0:
+    """Per-mode factor 1/(1 - exp(-hbar omega_k / k_B T)) with physical omega;
+    an array of temperatures gives one row of factors per temperature."""
+    temperature = np.asarray(temperature, dtype=float)
+    if np.any(temperature <= 0):
         raise ValueError("temperature must be positive")
-    x = const.hbar * np.asarray(frequencies) * setup.cyclotron_frequency / (
-        const.k * temperature
-    )
-    out = 1.0 / -np.expm1(-x)
+    energies = const.hbar * np.asarray(frequencies) * setup.cyclotron_frequency
+    out = 1.0 / -np.expm1(-energies / (const.k * temperature)[..., None])
     if skip is not None:
-        out = out.copy()
-        out[skip] = 0.0
+        out[..., skip] = 0.0
     return out
 
 
@@ -353,31 +352,33 @@ def fidelity(residual_1, residual_2, amplitude, spectrum: ModeSpectrum,
 
     F = min_(+/-) prod_k exp[-(A^2/4) |I_k1 +/- I_k2|^2 / (1 - e^(-hbar
     omega_k / k_B T))]; the regularized rotation mode is not a physical
-    oscillator and is excluded from the product.
+    oscillator and is excluded from the product.  Returns (F, branch), with
+    "+" on a tie; a sequence of temperatures gives a list of them, its
+    exponents formed in one array pass.
     """
     weights = thermal_weights(
         spectrum.frequencies, temperature, setup, skip=spectrum.regularized_mode
     )
-    exps = {}
-    for label, sign in (("+", 1.0), ("-", -1.0)):
-        combo = np.abs(residual_1 + sign * residual_2) ** 2
-        exps[label] = float(amplitude**2 / 4.0 * np.sum(combo * weights))
-    branch = max(exps, key=lambda k: exps[k])  # larger exponent = smaller F
-    return math.exp(-exps[branch]), branch
+    combos = np.stack([np.abs(residual_1 + sign * residual_2) ** 2 for sign in (1.0, -1.0)])
+    exponents = amplitude**2 / 4.0 * np.sum(combos[:, None] * np.atleast_2d(weights), axis=-1)
+    # the larger exponent is the smaller F
+    rows = [(math.exp(-max(plus, minus)), "-" if minus > plus else "+")
+            for plus, minus in exponents.T.tolist()]
+    return rows if np.ndim(temperature) else rows[0]
 
 
 def fidelity_curve(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
                    setup: TrapSetup, temperatures, amplitude=None):
-    """Fidelity vs temperature rows (T, F, branch) at the calibrated amplitude."""
+    """Fidelity vs temperature rows (T, F, branch) at the calibrated amplitude.
+
+    One drive integral gives both ions' residuals, and one array pass gives
+    every temperature's thermal exponents.
+    """
     amp = spec.amplitude if amplitude is None else amplitude
-    j1, j2 = spec.target_pair
-    res1 = residual_displacement(spec, spectrum, state, setup, j1, amplitude=1.0)
-    res2 = residual_displacement(spec, spectrum, state, setup, j2, amplitude=1.0)
-    rows = []
-    for temp in temperatures:
-        value, branch = fidelity(res1, res2, amp, spectrum, temp, setup)
-        rows.append((float(temp), value, branch))
-    return rows
+    res1, res2 = residual_displacement(spec, spectrum, state, setup, amplitude=1.0)
+    temps = [float(temp) for temp in temperatures]
+    return [(temp, value, branch) for temp, (value, branch)
+            in zip(temps, fidelity(res1, res2, amp, spectrum, temps, setup))]
 
 
 def form_factors(frequencies, modes_matrix, regime, hbar_tilde, nu=None):

@@ -5,14 +5,16 @@ over one panel is a single matrix on the reference nodes; both the Fourier
 integral of a drive and the double integral of the phase kernel are
 spectrally accurate once the panel density resolves the fastest
 oscillation.  Panels of one width factor both: a node's phase splits into
-its panel's phase and a reference-node phase, so the Fourier integral costs
-one exponential per panel and per reference node rather than one per node,
-and inside a panel the kernel sees only phase differences between
+its panel's phase and a reference-node phase, and the equally spaced panel
+phases are products of a coarse and a fine table, so the Fourier integral
+costs about 2 sqrt(panels) + order exponentials per frequency rather than
+one per node; inside a panel the kernel sees only phase differences between
 reference nodes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -49,8 +51,15 @@ class PanelGrid:
         return self.times.reshape(-1)
 
     def _factored(self, values, omegas):
-        """Common half width h, panel phases exp(i omega m_p) and local sums
-        [E (w v)^T]_p with E_i = exp(i omega h x_i), for a node t = m_p + h x_i.
+        """Panel-factored pieces of sum over nodes of w v exp(i omega t).
+
+        A node is t = m_p + h x_i, with one half width h and equally spaced
+        centres m_p = m_0 + 2hp.  Writing p = aB + b with B = ceil(sqrt P),
+        its phase is coarse_a fine_b near_i, the tables exp(i omega (m_0 +
+        2hBa)), exp(i omega 2hb) and exp(i omega h x_i): K (P/B + B + order)
+        exponentials for K frequencies instead of K P order.  Returns h, the
+        three tables and the weighted samples w v as (P/B, B, order), zero
+        past the last panel.
         """
         nodes, *_ = _reference(self.order)
         half = float(np.mean(self.half_widths))
@@ -59,41 +68,48 @@ class PanelGrid:
         if np.abs(self.half_widths - half).max() > slack:
             raise ValueError("factored panel integrals need panels of one width")
         omegas = np.asarray(omegas, dtype=float)
-        weighted = np.asarray(values).reshape(self.times.shape) * self.weights
-        centers = 0.5 * (self.times[:, 0] + self.times[:, -1])
-        local = np.exp(1j * half * omegas[:, None] * nodes[None, :]) @ weighted.T
-        return half, np.exp(1j * omegas[:, None] * centers[None, :]), local
+        n_panels = len(self.half_widths)
+        block = math.isqrt(n_panels - 1) + 1
+        rows = -(-n_panels // block)
+        weighted = np.zeros((rows * block, self.order))
+        weighted[:n_panels] = np.asarray(values).reshape(self.times.shape) * self.weights
+        start = 0.5 * (self.times[0, 0] + self.times[0, -1])
+        coarse = np.exp(1j * np.outer(omegas, start + 2.0 * half * block * np.arange(rows)))
+        fine = np.exp(1j * np.outer(omegas, 2.0 * half * np.arange(block)))
+        near = np.exp(1j * np.outer(omegas, half * nodes))
+        return half, coarse, fine, near, weighted.reshape(rows, block, self.order)
 
     def fourier(self, values, omegas):
         """Integral of values(t) exp(i omega t) over the window, one per omega;
         values sampled on flat_times.
 
-        The panels share one half width h, so a node t = m_p + h x_i factors
-        the phase into exp(i omega m_p) exp(i omega h x_i): the integral is
-        sum_p exp(i omega m_p) [E (w v)^T]_p with E_i = exp(i omega h x_i),
-        which takes len(omegas) * (n_panels + order) exponentials instead of
-        one per node and frequency.
+        With the tables of ``_factored`` the integral is sum_a coarse_a
+        sum_(b,i) (fine_b near_i) (w v)_abi: one (K, B order) by (B order,
+        P/B) product, so no per-panel array of all K frequencies is formed.
         """
-        _, phases, local = self._factored(values, omegas)
-        return np.einsum("kp,kp->k", phases, local)
+        _, coarse, fine, near, weighted = self._factored(values, omegas)
+        span = (fine[:, :, None] * near[:, None, :]).reshape(len(coarse), -1)
+        return np.einsum("ka,ka->k", coarse, span @ weighted.reshape(len(weighted), -1).T)
 
     def phase_kernel(self, values, omegas):
         """G(omega) = int dt c(t) int_t0^t ds c(s) sin(omega (t - s)) over the
         window for a real drive c sampled on flat_times, one per omega.
 
-        The running integral at a node is the earlier panels' totals U_q (as
-        ``fourier`` forms them) plus the part inside its own panel, where the
-        panel phase cancels: that part gives h^2 sum_ij w_i R_ij
+        The running integral at a node is the earlier panels' totals U_q =
+        sum_i exp(i omega (m_q + h x_i)) (w v)_qi, from the tables of
+        ``_factored``, plus the part inside its own panel, where the panel
+        phase cancels: that part gives h^2 sum_ij w_i R_ij
         sin(omega h (x_i - x_j)) sum_p c_pi c_pj, with R the reference
         running-integral matrix, and the rest sum_p Im(U_p conj(sum_q<p U_q)).
         """
         nodes, weights, running = _reference(self.order)
-        half, phases, local = self._factored(values, omegas)
+        half, coarse, fine, near, weighted = self._factored(values, omegas)
         samples = np.asarray(values, dtype=float).reshape(self.times.shape)
         pairs = half**2 * weights[:, None] * running * (samples.T @ samples)
         offsets = half * (nodes[:, None] - nodes[None, :]).ravel()
         within = np.sin(np.asarray(omegas, dtype=float)[:, None] * offsets) @ pairs.ravel()
-        totals = phases * local
+        phases = (coarse[:, :, None] * fine[:, None, :]).reshape(len(coarse), -1)
+        totals = phases * (near @ weighted.reshape(-1, self.order).T)
         earlier = np.cumsum(totals, axis=1) - totals
         return within + np.imag(totals * np.conj(earlier)).sum(axis=1)
 

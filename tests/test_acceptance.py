@@ -47,11 +47,11 @@ from penninggate.beams import (
 from penninggate.bench import resolve_carrier, run_experiment, sweep, tune_carrier
 from penninggate.modes import (
     QuadraticHamiltonian,
-    equilibrium_momenta,
-    phase_space_hamiltonian,
     symplectic_form,
 )
 from penninggate.gate import form_factors
+
+from phase_space import equilibrium_momenta, phase_space_hamiltonian
 
 TWO_PI = 2 * math.pi
 

@@ -230,11 +230,13 @@ def test_sweep_thread_invariance(tmp_path, setup_low, eq_low_p0):
 
 def test_sweep_records_per_point_failure(tmp_path):
     config = small_config(tmp_path)
-    # a carrier resonant with a mode makes calibration blow up per point
-    text = sweep(config, "nu", [-1.0, 1e6], threads=1)
+    # a carrier resonant with a mode makes calibration blow up per point; at
+    # 1 MHz F underflows to 0, at the mid-gap 3.88 MHz it does not
+    text = sweep(config, "nu", [-1.0, 1e6, 3.88e6], threads=1)
     rows = text.splitlines()[1:]
     assert rows[0].endswith("error:ValueError")
-    assert rows[1].endswith(",ok")
+    assert rows[1].endswith(",1,underflow")
+    assert rows[2].endswith(",ok")
 
 
 def test_sweep_rejects_bad_input(tmp_path):
@@ -265,28 +267,39 @@ def test_resolve_carrier_midgap(bands_high):
 
 def test_tau_ratio_sweep_monotone_curves_ordered_by_carrier(tmp_path, setup_low,
                                                             eq_low_p4000):
-    # three gate-time ratios at the slow-rotation point: each infidelity
-    # curve is monotone in T and the required carrier scales like 1/tau_g
+    # gate-time ratios at the slow-rotation point: each infidelity curve is
+    # monotone in T and the required carrier scales like 1/tau_g
     config = ExperimentConfig(
         species="Be+", nu_c_hz=76.08e3, alpha_z=0.7, n_ions=30, p_theta=4000.0,
         tau_ratio=0.1, temperatures_k=(1e-4, 1e-3, 1e-2), seed=7,
         out_dir=str(tmp_path),
     ).validate()
-    text = sweep(config, "tau_g", [1e-1, 1e-2, 1e-3])
-    rows = [line.split(",") for line in text.splitlines()[1:]]
-    assert all(row[-1] == "ok" for row in rows)
-    by_ratio = {}
-    for row in rows:
-        by_ratio.setdefault(float(row[0]), []).append((float(row[2]), float(row[4])))
-    assert sorted(by_ratio) == [1e-3, 1e-2, 1e-1]
-    carriers = {ratio: float(next(r[1] for r in rows if float(r[0]) == ratio))
-                for ratio in by_ratio}
-    assert carriers[1e-2] == pytest.approx(10 * carriers[1e-1], rel=1e-9)
-    assert carriers[1e-3] == pytest.approx(100 * carriers[1e-1], rel=1e-9)
-    for ratio, curve in by_ratio.items():
-        curve.sort()
-        infidelities = [i for _, i in curve]
-        assert all(b >= a - 1e-15 for a, b in zip(infidelities, infidelities[1:]))
+    # the default 9 carrier cycles per gate leak enough of the envelope's
+    # spectrum onto the ExB modes that F underflows on every row; 18 cycles
+    # keep F > 0 on every row of the longer gates
+    for cycles, grid, status in ((9.0, [1e-1, 1e-2, 1e-3], "underflow"),
+                                 (18.0, [4e-1, 2e-1, 1e-1], "ok")):
+        text = sweep(replace(config, carrier_cycles=cycles), "tau_g", grid)
+        rows = [line.split(",") for line in text.splitlines()[1:]]
+        assert len(rows) == 9 and all(row[-1] == status for row in rows)
+        assert all((float(row[3]) == 0.0) == (status == "underflow") for row in rows)
+        by_ratio = {}
+        for row in rows:
+            by_ratio.setdefault(float(row[0]), []).append((float(row[2]), float(row[4])))
+        assert sorted(by_ratio) == sorted(grid)
+        carriers = {ratio: float(next(r[1] for r in rows if float(r[0]) == ratio))
+                    for ratio in by_ratio}
+        for ratio in grid[1:]:
+            assert carriers[ratio] == pytest.approx(grid[0] / ratio * carriers[grid[0]],
+                                                    rel=1e-9)
+        for ratio, curve in by_ratio.items():
+            curve.sort()
+            infidelities = [i for _, i in curve]
+            assert all(b >= a - 1e-15 for a, b in zip(infidelities, infidelities[1:]))
+    # shorter gates are worse at every temperature
+    curves = [sorted(curve) for _, curve in sorted(by_ratio.items())]
+    assert all(s[1] > g[1] for short, long in zip(curves, curves[1:])
+               for s, g in zip(short, long))
 
 
 def test_cli_verbs(tmp_path):

@@ -24,6 +24,7 @@ from penninggate import (
     trap_frequencies,
     two_qubit_phase,
 )
+from penninggate import gate
 from penninggate.crystal import CrystalState
 from penninggate.gate import pair_couplings, thermal_weights
 from penninggate.modes import ModeSpectrum
@@ -160,20 +161,19 @@ def test_mode_drive_linearity_and_selection(gate_high, eq_high, spectrum_high, s
 
 
 def test_residual_displacement_linearity(gate_high, eq_high, spectrum_high, setup_high):
-    j1 = gate_high.target_pair[0]
-    base = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                                 amplitude=1.0)
-    doubled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                                    amplitude=2.0)
+    base = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                 amplitude=1.0)[0]
+    doubled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                    amplitude=2.0)[0]
     np.testing.assert_array_equal(doubled, 2.0 * base)
     # non-binary factors only reshuffle the node-level rounding of the
     # heavily cancelled oscillatory integrals
-    scaled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                                   amplitude=3.5)
+    scaled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                   amplitude=3.5)[0]
     np.testing.assert_allclose(scaled, 3.5 * base, rtol=1e-5,
                                atol=1e-5 * 3.5 * np.abs(base).max())
-    zero = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                                 amplitude=0.0)
+    zero = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                 amplitude=0.0)[0]
     assert np.abs(zero).max() == 0.0
 
 
@@ -191,10 +191,10 @@ def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000):
     tau_g = 3.05e-6
     spec = GateSpec(target_pair=pair, carrier_frequency=TWO_PI * 9 / tau_g,
                     gate_time=tau_g)
-    coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low, inner,
-                                   amplitude=1.0)
+    coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low,
+                                   amplitude=1.0)[0]
     fine = residual_displacement(replace(spec, nodes_per_period=80), spectrum,
-                                 eq_low_p4000, setup_low, inner, amplitude=1.0)
+                                 eq_low_p4000, setup_low, amplitude=1.0)[0]
     # modes the drive does not reach (the axial block of this planar
     # crystal) have an exactly zero coupling, hence exactly zero residuals
     dark = fine == 0.0
@@ -207,15 +207,72 @@ def test_residual_displacement_refuses_underresolved(gate_high, eq_high, spectru
                                                      setup_high):
     bad = replace(gate_high, nodes_per_period=10)
     with pytest.raises(ValueError, match="20 nodes per period"):
-        residual_displacement(bad, spectrum_high, eq_high, setup_high,
-                              gate_high.target_pair[0])
+        residual_displacement(bad, spectrum_high, eq_high, setup_high)
+
+
+def _per_ion_residual(spec, spectrum, state, setup, ion, amplitude):
+    """The single-ion residual formula that the pair residuals replaced."""
+    dims = gate._dimensionless(spec, setup)
+    grid = gate._grid(spec, spectrum, setup)
+    couplings = pair_couplings(spec, spectrum, state, setup)
+    prefactor = gate._force_prefactor(spec, state, setup, amplitude=amplitude)
+    profile = prefactor * gate._carrier(grid.flat_times, dims)
+    omegas = spectrum.frequencies
+    return couplings[ion] * grid.fourier(profile, omegas) / np.sqrt(omegas)
+
+
+@pytest.mark.parametrize("amplitude", [None, 1.0, 3.5])
+def test_pair_residuals_equal_the_per_ion_formula(gate_high, eq_high, spectrum_high,
+                                                  setup_high, amplitude):
+    spec = replace(gate_high, amplitude=2.5e4)
+    pair = residual_displacement(spec, spectrum_high, eq_high, setup_high,
+                                 amplitude=amplitude)
+    assert pair.shape == (2, spectrum_high.n_modes)
+    for row, ion in zip(pair, spec.target_pair):
+        expected = _per_ion_residual(spec, spectrum_high, eq_high, setup_high, ion, amplitude)
+        np.testing.assert_array_equal(row, expected)
+
+
+def _windowed_carrier_transform(omega, dims, mp):
+    """int_0^tau cos(nu (t - t_c)) exp(-((t - t_c)/sigma)^2) exp(i omega t) dt in
+    closed form: e^(i omega t_c)/2 sum over kappa = omega +/- nu of
+    (sqrt(pi) sigma/2) e^(-y^2) [erf((tau - t_c)/sigma - iy) - erf(-t_c/sigma - iy)],
+    y = kappa sigma/2, evaluated at the working precision of ``mp``."""
+    tau, center, sigma, nu = (mp.mpf(dims[key]) for key in ("tau", "center", "width", "nu"))
+    omega = mp.mpf(omega)
+    total = 0
+    for kappa in (omega + nu, omega - nu):
+        y = kappa * sigma / 2
+        total += mp.exp(-y**2) * (mp.erf((tau - center) / sigma - 1j * y)
+                                  - mp.erf(-center / sigma - 1j * y))
+    return complex(mp.exp(1j * omega * center) * mp.sqrt(mp.pi) * sigma / 4 * total)
+
+
+@pytest.mark.parametrize("tau_ratio", [0.006, 0.05, 0.2])
+def test_drive_integral_matches_the_mpmath_closed_form(eq_high, spectrum_high, setup_high,
+                                                       bands_high, pair_high, tau_ratio):
+    mpmath = pytest.importorskip("mpmath")
+    from penninggate.bench import resolve_carrier
+
+    wc = setup_high.cyclotron_frequency
+    tau_r = TWO_PI / (eq_high.rotation_frequency * wc)
+    spec = GateSpec(pair_high, resolve_carrier(bands_high) * wc, tau_ratio * tau_r)
+    dims = gate._dimensionless(spec, setup_high)
+    grid = gate._grid(spec, spectrum_high, setup_high)
+    carrier = gate._carrier(grid.flat_times, dims)
+    got = grid.fourier(carrier, spectrum_high.frequencies)
+    with mpmath.workdps(40):
+        expected = np.array([_windowed_carrier_transform(w, dims, mpmath)
+                             for w in spectrum_high.frequencies])
+    scale = np.abs(grid.weights.reshape(-1) * carrier).sum()
+    assert np.abs(got - expected).max() <= 3e-14 * scale
 
 
 def test_residual_matches_ode_displacement(gate_high, eq_high, spectrum_high, setup_high):
     """Independent route: time-stepped integration of the driven-mode ODE."""
     j1 = gate_high.target_pair[0]
-    res = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                                amplitude=1.0)
+    res = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                amplitude=1.0)[0]
     couplings = pair_couplings(gate_high, spectrum_high, eq_high, setup_high)
     wc = setup_high.cyclotron_frequency
     tau = gate_high.gate_time * wc
@@ -272,11 +329,8 @@ def test_phase_exchange_symmetry(gate_high, eq_high, spectrum_high, setup_high):
     theta_a = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
     theta_b = two_qubit_phase(swapped, spectrum_high, eq_high, setup_high).theta
     assert theta_b == pytest.approx(theta_a, rel=1e-12)
-    j1, j2 = gate_high.target_pair
-    r1 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                               amplitude=1.0)
-    r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j2,
-                               amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                   amplitude=1.0)
     f_a, _ = fidelity(r1, r2, 1e4, spectrum_high, 1e-3, setup_high)
     f_b, _ = fidelity(r2, r1, 1e4, spectrum_high, 1e-3, setup_high)
     assert f_b == pytest.approx(f_a, rel=1e-12)
@@ -448,12 +502,51 @@ def test_fidelity_monotone_in_temperature(gate_high, eq_high, spectrum_high, set
     assert all(a >= b - 1e-15 for a, b in zip(values, values[1:]))
 
 
+def test_fidelity_curve_rows_equal_a_per_temperature_loop(gate_high, eq_high, spectrum_high,
+                                                          setup_high):
+    import scipy.constants as const
+
+    temps = [1e-9, *np.geomspace(1e-4, 1e-2, 20)]
+    amp = calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
+    rows = fidelity_curve(gate_high, spectrum_high, eq_high, setup_high, temps, amplitude=amp)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                   amplitude=1.0)
+    expected = []
+    for temp in temps:
+        # the one-temperature formula the array pass replaced
+        x = const.hbar * spectrum_high.frequencies * setup_high.cyclotron_frequency / (
+            const.k * temp)
+        weights = 1.0 / -np.expm1(-x)
+        weights[spectrum_high.regularized_mode] = 0.0
+        exps = {label: float(amp**2 / 4.0 * np.sum(np.abs(r1 + sign * r2) ** 2 * weights))
+                for label, sign in (("+", 1.0), ("-", -1.0))}
+        branch = max(exps, key=lambda k: exps[k])
+        expected.append((temp, math.exp(-exps[branch]), branch))
+        assert fidelity(r1, r2, amp, spectrum_high, temp, setup_high) == expected[-1][1:]
+    assert rows == expected
+    # with one ion undriven both branches tie exactly, and a tie picks "+"
+    ties = fidelity(r1, np.zeros_like(r1), amp, spectrum_high, temps, setup_high)
+    assert [branch for _, branch in ties] == ["+"] * len(temps)
+
+
+def test_fidelity_curve_builds_one_grid(gate_high, eq_high, spectrum_high, setup_high,
+                                        monkeypatch):
+    calls = []
+    original = gate.grid_for_frequencies
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gate, "grid_for_frequencies", counted)
+    fidelity_curve(gate_high, spectrum_high, eq_high, setup_high, [1e-4, 1e-3, 1e-2],
+                   amplitude=1e4)
+    assert len(calls) == 1
+
+
 def test_fidelity_zero_temperature_limit(gate_high, eq_high, spectrum_high, setup_high):
-    j1, j2 = gate_high.target_pair
-    r1 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                               amplitude=1.0)
-    r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j2,
-                               amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                   amplitude=1.0)
     amp = 1e4
     cold, branch = fidelity(r1, r2, amp, spectrum_high, 1e-9, setup_high)
     combos = {
@@ -469,11 +562,8 @@ def test_fidelity_zero_temperature_limit(gate_high, eq_high, spectrum_high, setu
 
 def test_fidelity_branch_is_worst_of_four_sign_configs(gate_high, eq_high, spectrum_high,
                                                        setup_high):
-    j1, j2 = gate_high.target_pair
-    r1 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j1,
-                               amplitude=1.0)
-    r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high, j2,
-                               amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
+                                   amplitude=1.0)
     amp = calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
     value, _ = fidelity(r1, r2, amp, spectrum_high, 1e-3, setup_high)
     weights = thermal_weights(spectrum_high.frequencies, 1e-3, setup_high,
@@ -637,8 +727,7 @@ def test_pulse_sequence_feeds_gate(eq_high, spectrum_high, setup_high, pair_high
                     gate_time=float(times[-1]), profile=(times, values))
     theta = two_qubit_phase(spec, spectrum_high, eq_high, setup_high).theta
     assert math.isfinite(theta) and theta != 0.0
-    res = residual_displacement(spec, spectrum_high, eq_high, setup_high, pair_high[0],
-                                amplitude=1.0)
+    res = residual_displacement(spec, spectrum_high, eq_high, setup_high, amplitude=1.0)
     assert np.all(np.isfinite(res))
 
 
@@ -708,8 +797,7 @@ def test_classical_trajectory_end_to_end_oracle(small_pair_setup, eq_pair):
     a_end = (lam[0::2] + 1j * lam[1::2]) / math.sqrt(2.0 * scales.hbar_tilde)
 
     # spectrum route: a_k(tau) = -i e^{-i w tau} sqrt(w) (I_k^(0) + I_k^(1))
-    res0 = residual_displacement(spec, spectrum, state, setup, 0, amplitude=1.0)
-    res1 = residual_displacement(spec, spectrum, state, setup, 1, amplitude=1.0)
+    res0, res1 = residual_displacement(spec, spectrum, state, setup, amplitude=1.0)
     omegas = spectrum.frequencies
     predicted = -1j * np.exp(-1j * omegas * tau * wc) * np.sqrt(omegas) * (res0 + res1)
 

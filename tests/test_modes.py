@@ -24,12 +24,12 @@ from penninggate.modes import (
     _decoupled_blocks,
     _skew_gram,
     _times_j,
-    equilibrium_momenta,
     minimal_coupling_rate,
-    phase_space_hamiltonian,
     symplectic_form,
 )
 from penninggate.scales import StabilityClass, get_species, stability_class
+
+from phase_space import equilibrium_momenta, phase_space_hamiltonian
 
 TWO_PI = 2 * math.pi
 
