@@ -180,9 +180,10 @@ def save_state(state: CrystalState, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_state(path, grad_tol=1e-10) -> CrystalState:
+def load_state(path) -> CrystalState:
     """Read an equilibrium file back, checking that the recorded energy and
-    P_theta are those of the positions."""
+    P_theta are those of the positions; converged means a gradient norm
+    below 1e-10."""
     text = Path(path).read_text().splitlines()
     header = {"N": None, "alpha_z": None, "P_theta": None,
               "omega_r_over_omega_c": None, "energy": None}
@@ -221,7 +222,7 @@ def load_state(path, grad_tol=1e-10) -> CrystalState:
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     # the header's P_theta is kept, so validate() checks it against the positions
     state = replace(state, angular_momentum=float(header["P_theta"]), energy=energy,
-                    converged=state.gradient_norm < grad_tol)
+                    converged=state.gradient_norm < 1e-10)
     try:
         state.validate()
     except ValueError as exc:
@@ -434,6 +435,9 @@ def _run_stages(config: ExperimentConfig, last, out_dir=None):
                 }
                 (out / "phase.json").write_text(
                     json.dumps(report, indent=2, sort_keys=True) + "\n")
+                zero = next((t for t, fid, _ in run.gate.fidelity_curve if fid == 0.0), None)
+                if zero is not None:
+                    raise RuntimeError(f"fidelity underflowed to 0 at T = {zero:g} K")
     except StageError as exc:
         (out / "FAILED").write_text(f"{exc.stage}: {exc.__cause__}\n")
         _write_manifest(out / "manifest.txt", config, started, run.state, failed=exc.stage)

@@ -32,6 +32,7 @@ import numpy as np
 from .scales import TrapSetup, beta_from_ratio, stability_class, StabilityClass
 
 _MIN_SEPARATION = 1e-9
+_NEWTON_STEPS = 200  # Newton step budget of a refinement, and again after its planar snap
 
 
 @dataclass(frozen=True)
@@ -338,16 +339,17 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
             for _ in range(schedule.cycles)]
 
 
-def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> CrystalState:
+def newton_refine(candidate: CrystalState, grad_tol=1e-10) -> CrystalState:
     """Damped Newton minimization of the effective potential at fixed alpha_r.
 
     Energy never increases along the iteration (backtracking line search with
     a Levenberg shift when the Hessian is not positive definite; the shift
     carries over to the next iteration, a tenth smaller).  The global-rotation
     null direction t is removed with the rank-one projector 1 - t t^T.
-    Converged means the full 3N gradient norm dropped below ``grad_tol``; on
-    planar configurations the axial coordinates are snapped to the symmetry
-    plane once they are already small.
+    Converged means the full 3N gradient norm dropped below ``grad_tol``.  A
+    planar-class crystal (beta < beta_c) that converges with small nonzero z
+    is snapped to z = 0 once, and the loop restarts there with the energy
+    recomputed, the shift reset and a fresh budget of ``_NEWTON_STEPS``.
     """
     from scipy.linalg import cho_solve
 
@@ -355,63 +357,55 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10, max_iter=200) -> Crys
     alpha_z = candidate.axial_ratio
     pos = candidate.positions.copy()
     n = len(pos)
-    iterations = 0
-
-    def refine_loop(pos, iterations):
-        energy = effective_potential(pos, alpha_r, alpha_z)
-        shift = 0.0
-        for _ in range(max_iter):
-            grad = effective_potential_gradient(pos, alpha_r, alpha_z)
-            gflat = grad.reshape(-1)
-            if float(np.linalg.norm(gflat)) < grad_tol:
-                return pos, iterations, True
-            hess = effective_potential_hessian(pos, alpha_r, alpha_z)
-            scale = float(np.abs(np.diag(hess)).max()) or 1.0
-            axis = np.column_stack([-pos[:, 1], pos[:, 0], np.zeros(n)]).ravel()
-            if axis @ axis > 0.0:
-                # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
-                axis = axis / np.linalg.norm(axis)
-                ht = hess @ axis
-                hess -= np.outer(axis, ht - (axis @ ht + scale) * axis) + np.outer(ht, axis)
-            diagonal = np.diag(hess).copy()
-            for _ in range(30):
-                try:
-                    np.fill_diagonal(hess, diagonal + shift)
-                    chol = np.linalg.cholesky(hess)
-                    break
-                except np.linalg.LinAlgError:
-                    shift = max(2.0 * shift, 1e-12 * scale) * 10.0
-            else:
-                return pos, iterations, False
-            step = cho_solve((chol, True), -gflat).reshape(n, 3)
-            shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
-            slope = float(gflat @ step.reshape(-1))
-            t = 1.0
-            for _ in range(40):
-                trial = pos + t * step
-                try:
-                    etrial = effective_potential(trial, alpha_r, alpha_z)
-                except ValueError:
-                    etrial = math.inf
-                if etrial <= energy + 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                return pos, iterations, False
-            pos = trial
-            energy = etrial
-            iterations += 1
-        grad = effective_potential_gradient(pos, alpha_r, alpha_z)
-        return pos, iterations, float(np.linalg.norm(grad)) < grad_tol
-
-    pos, iterations, converged = refine_loop(pos, iterations)
-
-    beta = beta_from_ratio(alpha_r, alpha_z)
-    planar = stability_class(beta, n) is StabilityClass.PLANAR_2D
-    if converged and planar and np.abs(pos[:, 2]).max() > 0.0:
-        if np.abs(pos[:, 2]).max() < 1e-4:
+    planar = stability_class(beta_from_ratio(alpha_r, alpha_z), n) is StabilityClass.PLANAR_2D
+    energy = effective_potential(pos, alpha_r, alpha_z)
+    shift = 0.0
+    iterations, limit, snapped = 0, _NEWTON_STEPS, False
+    while True:
+        gflat = effective_potential_gradient(pos, alpha_r, alpha_z).reshape(-1)
+        converged = float(np.linalg.norm(gflat)) < grad_tol
+        if converged and planar and not snapped and 0.0 < np.abs(pos[:, 2]).max() < 1e-4:
             pos[:, 2] = 0.0
-            pos, iterations, converged = refine_loop(pos, iterations)
+            energy = effective_potential(pos, alpha_r, alpha_z)
+            shift, limit, snapped = 0.0, iterations + _NEWTON_STEPS, True
+            continue
+        if converged or iterations == limit:
+            break
+        hess = effective_potential_hessian(pos, alpha_r, alpha_z)
+        scale = float(np.abs(np.diag(hess)).max()) or 1.0
+        axis = np.column_stack([-pos[:, 1], pos[:, 0], np.zeros(n)]).ravel()
+        if axis @ axis > 0.0:
+            # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
+            axis = axis / np.linalg.norm(axis)
+            ht = hess @ axis
+            hess -= np.outer(axis, ht - (axis @ ht + scale) * axis) + np.outer(ht, axis)
+        diagonal = np.diag(hess).copy()
+        for _ in range(30):
+            try:
+                np.fill_diagonal(hess, diagonal + shift)
+                chol = np.linalg.cholesky(hess)
+                break
+            except np.linalg.LinAlgError:
+                shift = max(2.0 * shift, 1e-12 * scale) * 10.0
+        else:
+            break
+        step = cho_solve((chol, True), -gflat).reshape(n, 3)
+        shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
+        slope = float(gflat @ step.reshape(-1))
+        t = 1.0
+        for _ in range(40):
+            trial = pos + t * step
+            try:
+                etrial = effective_potential(trial, alpha_r, alpha_z)
+            except ValueError:
+                etrial = math.inf
+            if etrial <= energy + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        else:
+            break
+        pos, energy = trial, etrial
+        iterations += 1
 
     # refinement runs at fixed alpha_r; the state's P_theta follows the positions
     return CrystalState.at(pos, alpha_r, alpha_z, converged, iterations)
@@ -434,7 +428,8 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None 
     The refinement is Newton at fixed rotation frequency inside a scalar
     root-find for the rotation frequency whose refined configuration carries
     the requested P_theta; its inner minimizations are warm-started with the
-    exact planar scaling positions ~ beta^(-1/3).
+    exact planar scaling positions ~ beta^(-1/3), and each snaps a planar
+    crystal to z = 0 with one restart of its Newton loop.
     """
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0
@@ -481,63 +476,53 @@ def _implied_anisotropy(positions, alpha_z):
 def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
     """Outer solve: rotation frequency whose refined crystal carries P_theta.
 
-    Alternates Newton refinement at fixed alpha_r with a closed-form solve of
-    the scaling model I(beta) = I_a (beta_a / beta)^(2/3) anchored on the last
-    refined configuration; for planar crystals the model is exact, so the
-    iteration converges in a couple of refinements.  The returned state's
-    ``refine_iterations`` counts the Newton steps of every refinement.
+    One loop over one (positions, beta) pair, starting from the seed at its
+    virial anisotropy: a closed-form solve of the scaling model
+    I(beta) = I_a (beta_a / beta)^(2/3) anchored on the pair picks the next
+    alpha_r, the positions are rescaled by (beta_a / beta)^(1/3) and Newton
+    refinement at that alpha_r gives the next pair.  For planar crystals the
+    model is exact, so the iteration converges in a couple of refinements.
+    P_theta = 0 is the one-refinement case alpha_r = 1/2.  The returned
+    state's ``refine_iterations`` counts the Newton steps of every refinement.
     """
     from scipy.optimize import brentq
 
     beta_max = beta_from_ratio(0.5, alpha_z)
-    cache = {"positions": np.array(seed_positions, dtype=float), "beta": None, "steps": 0}
+    positions = np.array(seed_positions, dtype=float)
+    beta = _implied_anisotropy(positions, alpha_z)
+    steps = 0
+    for _ in range(80):
+        if target == 0.0:
+            s_next = 0.0
+        else:
+            inertia = float(np.sum(positions[:, 0] ** 2 + positions[:, 1] ** 2))
 
-    def refined_at(alpha_r):
-        beta = beta_from_ratio(alpha_r, alpha_z)
-        if beta <= 0.0:
+            def model(s):
+                ratio = beta / (beta_max - s**2 / alpha_z**2)
+                return inertia * ratio ** (2.0 / 3.0) * s - target
+
+            s_max = alpha_z * math.sqrt(beta_max) * (1.0 - 1e-12)
+            # keep each step within a bounded anisotropy move from the anchor
+            lo = alpha_z * math.sqrt(max(beta_max - min(beta * 64.0, beta_max), 0.0))
+            hi = min(alpha_z * math.sqrt(beta_max - beta / 64.0), s_max)
+            lo = min(max(lo, 1e-300), hi)
+            if model(lo) >= 0.0:
+                s_next = lo
+            elif model(hi) <= 0.0:
+                s_next = hi
+            else:
+                s_next = brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+        alpha_r = 0.5 - s_next
+        beta_next = beta_from_ratio(alpha_r, alpha_z)
+        if beta_next <= 0.0:
             raise ValueError("rotation frequency outside the confined window")
-        start = cache["positions"]
-        if cache["beta"] is not None and cache["beta"] != beta:
-            start = start * (cache["beta"] / beta) ** (1.0 / 3.0)
-        state = newton_refine(CrystalState.at(start, alpha_r, alpha_z), grad_tol=grad_tol)
+        if beta_next != beta:
+            positions = positions * (beta / beta_next) ** (1.0 / 3.0)
+        state = newton_refine(CrystalState.at(positions, alpha_r, alpha_z), grad_tol=grad_tol)
         if not state.converged:
             raise RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
-        cache["positions"] = state.positions
-        cache["beta"] = beta
-        cache["steps"] += state.refine_iterations
-        return replace(state, refine_iterations=cache["steps"])
-
-    if target == 0.0:
-        cache["beta"] = _implied_anisotropy(cache["positions"], alpha_z)
-        return refined_at(0.5)
-
-    s_max = alpha_z * math.sqrt(beta_max) * (1.0 - 1e-12)
-    beta_anchor = _implied_anisotropy(cache["positions"], alpha_z)
-    inertia_anchor = float(np.sum(cache["positions"][:, 0] ** 2 + cache["positions"][:, 1] ** 2))
-    cache["beta"] = beta_anchor
-
-    state = None
-    for _ in range(80):
-        def model(s):
-            beta = beta_max - s**2 / alpha_z**2
-            return inertia_anchor * (beta_anchor / beta) ** (2.0 / 3.0) * s - target
-
-        # keep each step within a bounded anisotropy move from the anchor
-        lo = alpha_z * math.sqrt(max(beta_max - min(beta_anchor * 64.0, beta_max), 0.0))
-        hi = min(alpha_z * math.sqrt(beta_max - beta_anchor / 64.0), s_max)
-        lo = min(max(lo, 1e-300), hi)
-        if model(lo) >= 0.0:
-            s_next = lo
-        elif model(hi) <= 0.0:
-            s_next = hi
-        else:
-            s_next = brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-        state = refined_at(0.5 - s_next)
-        mismatch = total_angular_momentum(state.positions, 0.5 - s_next) - target
-        if abs(mismatch) <= 1e-10 * max(target, 1.0):
-            return state
-        beta_anchor = state.anisotropy
-        inertia_anchor = float(
-            np.sum(state.positions[:, 0] ** 2 + state.positions[:, 1] ** 2)
-        )
+        steps += state.refine_iterations
+        positions, beta = state.positions, state.anisotropy
+        if abs(state.angular_momentum - target) <= 1e-10 * max(target, 1.0):
+            return replace(state, refine_iterations=steps)
     raise RuntimeError("angular-momentum matching did not converge")

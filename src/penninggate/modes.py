@@ -40,10 +40,6 @@ class QuadraticHamiltonian:
     matrix: np.ndarray            # (6N, 6N) symmetric
     reference: CrystalState | None
 
-    @property
-    def n_ions(self) -> int:
-        return self.reference.n_ions
-
 
 @dataclass(frozen=True)
 class ModeSpectrum:

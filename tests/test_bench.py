@@ -341,6 +341,42 @@ def test_cli_verbs(tmp_path):
     assert main(["gate", "--config", str(bad)]) == 1
 
 
+def test_cli_grid_forms():
+    from penninggate.cli import _parse_grid
+
+    assert _parse_grid("1e-4,2e-3") == [1e-4, 2e-3]
+    assert _parse_grid("0:10:3") == [0.0, 5.0, 10.0]
+    assert _parse_grid("log:1e-4:1e-2:3") == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-15)
+
+
+def test_numeric_carrier_reproduces_the_auto_gap_gate(tmp_path):
+    auto = run_experiment(small_config(tmp_path, out_dir=str(tmp_path / "auto")))
+    nu_hz = auto.gate.carrier_frequency / (2 * np.pi)
+    fixed = run_experiment(small_config(tmp_path, nu_hz=nu_hz, out_dir=str(tmp_path / "hz")))
+    assert fixed.gate.carrier_frequency == pytest.approx(auto.gate.carrier_frequency, rel=1e-15)
+    assert fixed.gate.amplitude == pytest.approx(auto.gate.amplitude, rel=1e-12)
+
+
+def test_gate_run_whose_fidelity_underflows_fails_its_stage(tmp_path, capsys):
+    from penninggate.cli import main
+
+    # the README fig4 point with a 1 MHz carrier: F underflows to 0 at every T
+    cfg = tmp_path / "fig4.cfg"
+    cfg.write_text("species = Be+\nnu_c_hz = 7.608e6\nalpha_z = 0.02\nn_ions = 30\n"
+                   "p_theta = 1.3e5\ntau_ratio = 0.006\nnu_hz = 1e6\n"
+                   "temperatures_k = 1e-4,1e-3,1e-2\nseed = 11\n"
+                   f"out_dir = {tmp_path / 'out'}\n")
+    assert main(["gate", "--config", str(cfg)]) == 1
+    reason = "fidelity underflowed to 0 at T = 0.0001 K"
+    assert capsys.readouterr().err == f"error: [gate] {reason}\n"
+    out = tmp_path / "out"
+    assert (out / "FAILED").read_text() == f"gate: {reason}\n"
+    rows = (out / "fidelity.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["0", "0", "0"]
+    assert (out / "phase.json").is_file()
+    assert "# failed_stage gate" in (out / "manifest.txt").read_text().splitlines()
+
+
 def test_threads_is_a_sweep_flag_only(tmp_path):
     from penninggate.cli import main
 

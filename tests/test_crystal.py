@@ -2,6 +2,7 @@
 refinement."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,57 @@ def test_newton_energy_never_increases(small_pair_setup):
     refined = newton_refine(candidate)
     assert refined.converged
     assert refined.energy <= candidate.energy + 1e-15
+
+
+def test_newton_refine_snaps_a_planar_crystal_to_the_plane(eq_high):
+    lifted = eq_high.positions.copy()
+    lifted[:, 2] = 1e-7 * np.random.default_rng(2).standard_normal(eq_high.n_ions)
+    refined = newton_refine(CrystalState.at(lifted, eq_high.rotation_frequency,
+                                            eq_high.axial_ratio))
+    assert refined.converged
+    assert np.all(refined.positions[:, 2] == 0.0)
+
+
+def test_planar_snap_is_a_fresh_restart_of_the_same_loop(small_pair_setup, monkeypatch):
+    # two ions 1e-6 apart in the plane and 3e-6 along z: at this coarse
+    # tolerance Newton converges with z still nonzero and a Levenberg shift
+    # in hand, and zeroing z raises the in-plane gradient above the tolerance
+    alpha_z, tol = small_pair_setup.axial_ratio, 1e9
+    start = np.array([[5e-7, 0.0, 1.5e-6], [-5e-7, 0.0, -1.5e-6]])
+    refined = newton_refine(CrystalState.at(start, 0.5, alpha_z), grad_tol=tol)
+
+    from penninggate import crystal
+
+    monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.CONFINED_3D)
+    before = newton_refine(CrystalState.at(start, 0.5, alpha_z), grad_tol=tol)
+    monkeypatch.undo()
+    assert before.converged and 0.0 < np.abs(before.positions[:, 2]).max() < 1e-4
+    snapped = before.positions.copy()
+    snapped[:, 2] = 0.0
+    after = newton_refine(CrystalState.at(snapped, 0.5, alpha_z), grad_tol=tol)
+    assert after.refine_iterations > 0
+    # energy recomputed, shift reset to 0 and a fresh step budget
+    assert refined.converged
+    np.testing.assert_array_equal(refined.positions, after.positions)
+    assert refined.refine_iterations == before.refine_iterations + after.refine_iterations
+
+
+def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
+    from penninggate import crystal
+
+    steps = []
+    original = crystal.newton_refine
+
+    def counted(candidate, **kwargs):
+        state = original(candidate, **kwargs)
+        steps.append(state.refine_iterations)
+        return state
+
+    monkeypatch.setattr(crystal, "newton_refine", counted)
+    schedule = replace(default_schedule(setup_high, 1.3e5, seed=7), cycles=1)
+    state = find_equilibrium(setup_high, 1.3e5, schedule)
+    assert len(steps) >= 2
+    assert state.refine_iterations == sum(steps)
 
 
 def test_min_excitation_matches_finite_difference_pipeline(eq_low_p0):
