@@ -104,11 +104,12 @@ class ForceTerm:
     chi: float
     b_rate: float
 
-    def check_detuning_chain(self, species_splitting=None, factor=10.0):
-        """Require |B-rate| << |detuning| (<< fine-structure splitting)."""
-        if abs(self.b_rate) * factor > abs(self.detuning):
+    def check_detuning_chain(self, species_splitting=None):
+        """Require |B-rate| << |detuning| (<< fine-structure splitting), where
+        << means a factor of at least 10."""
+        if abs(self.b_rate) * 10.0 > abs(self.detuning):
             raise ValueError("Zeeman rate not small against the detuning")
-        if species_splitting is not None and abs(self.detuning) * factor > species_splitting:
+        if species_splitting is not None and abs(self.detuning) * 10.0 > species_splitting:
             raise ValueError("detuning not small against the fine-structure splitting")
 
 
@@ -281,9 +282,8 @@ class PulseSequence:
         return times, f0, f1
 
 
-def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate,
-                         peak_intensity=1.0) -> PulseSequence:
-    """Assemble the alternating-polarization pulse train of one scheme.
+def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate) -> PulseSequence:
+    """Assemble the alternating-polarization pulse train of one scheme at unit peak intensity.
 
     Each half-period carries the sin^2(nu t) envelope with the branch's
     solved intensity ratio; the polarization switches at every intensity
@@ -316,8 +316,8 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
         )
 
     state_coefficients = {
-        "+": {state: peak_intensity * val for state, val in forces_p.items()},
-        "-": {state: peak_intensity * scale_m * val for state, val in forces_m.items()},
+        "+": forces_p,
+        "-": {state: scale_m * val for state, val in forces_m.items()},
     }
 
     half = math.pi / nu
@@ -336,7 +336,7 @@ def build_pulse_sequence(scheme: Scheme, nu, n_periods, delta_1, delta_2, b_rate
                         line=line,
                         polarization=pol,
                         detuning=delta,
-                        peak_intensity=peak_intensity * scale * abs(rel),
+                        peak_intensity=scale * abs(rel),
                         ratio_branch=branch,
                     )
                 )
@@ -355,7 +355,7 @@ class ConditionReport:
     mean_residual: dict
 
 
-def verify_conditions(seq: PulseSequence, samples_per_period=400) -> ConditionReport:
+def verify_conditions(seq: PulseSequence) -> ConditionReport:
     """Numerical check of the two force conditions.
 
     Opposition: f^(0)(t) = -f^(1)(t) pointwise; zero mean: the per-period
@@ -365,8 +365,8 @@ def verify_conditions(seq: PulseSequence, samples_per_period=400) -> ConditionRe
     if not seq.segments:
         return ConditionReport(opposition_residual=0.0, mean_residual={"0": 0.0, "1": 0.0})
     period = seq.period
-    n = max(samples_per_period, 40)
-    # trapezoid on a fine uniform grid over one full period per branch pair
+    n = 400
+    # trapezoid on 2n uniform samples over one full period per branch pair
     times = np.linspace(0.0, period, 2 * n, endpoint=False) + period / (4 * n)
     f0, f1 = seq.state_force(times)
     peak = max(np.abs(f0).max(), np.abs(f1).max(), 1e-300)

@@ -71,13 +71,14 @@ class CrystalState:
     def n_ions(self) -> int:
         return self.positions.shape[0]
 
-    def validate(self, rtol_beta=1e-12, atol_ptheta=1e-10):
-        """Check the internal consistency relations of the state."""
+    def validate(self):
+        """Check the internal consistency relations of the state, to 1e-12
+        in beta and 1e-10 in P_theta, each relative to max(1, |value|)."""
         beta = beta_from_ratio(self.rotation_frequency, self.axial_ratio)
-        if abs(beta - self.anisotropy) > rtol_beta * max(1.0, abs(beta)):
+        if abs(beta - self.anisotropy) > 1e-12 * max(1.0, abs(beta)):
             raise ValueError("anisotropy inconsistent with rotation frequency")
         ptheta = total_angular_momentum(self.positions, self.rotation_frequency)
-        if abs(ptheta - self.angular_momentum) > atol_ptheta * max(1.0, abs(ptheta)):
+        if abs(ptheta - self.angular_momentum) > 1e-10 * max(1.0, abs(ptheta)):
             raise ValueError("angular momentum inconsistent with positions")
         return True
 

@@ -25,6 +25,10 @@ SIGN_CONFIGS = {"00": (1.0, 1.0), "01": (1.0, -1.0), "10": (-1.0, 1.0), "11": (-
 # largest window-truncation bound, relative to max |G_k|, at which the
 # Gaussian carrier's phase kernel takes its closed form
 _CLOSED_FORM_RTOL = 1e-10
+# panel quadrature nodes per period of the fastest oscillation
+_NODES_PER_PERIOD = 40
+# least sampled-profile density per modulation period
+_PROFILE_SAMPLES_PER_PERIOD = 40
 
 
 @dataclass(frozen=True)
@@ -34,13 +38,9 @@ class GateSpec:
     ``carrier_frequency`` is the physical modulation nu in rad/s, times are
     seconds.  The Gaussian envelope is centred in the gate window, by default
     with width gate_time/9, which suppresses the window-edge force below
-    1e-8 of the peak.  For this Gaussian carrier the phase kernel is closed
-    form (Dawson's function), used while its rigorous window-truncation bound
-    stays below 1e-10 of the largest kernel entry; wider envelopes fall back
-    to quadrature.  ``nodes_per_period`` is the quadrature density on the
-    fastest oscillation (composite Gauss-Legendre panels); it governs the
-    residual displacement integrals, and the phase kernel of a sampled
-    ``profile`` or of an envelope that takes the fallback.
+    1e-8 of the peak.  ``profile``, an optional (times_s, values) pair,
+    replaces the carrier by a sampled drive of at least 40 samples per
+    modulation period.  How the drive is integrated is fixed by ``_Drive``.
     """
 
     target_pair: tuple
@@ -48,11 +48,9 @@ class GateSpec:
     gate_time: float
     envelope_width: float | None = None
     amplitude: float = 1.0
-    nodes_per_period: int = 40
     profile: object = None   # optional (times_s, values) drive replacing the carrier
 
     _WIDTH_FRACTION = 1.0 / 9.0  # edge force < 1e-8 of peak
-    _PROFILE_SAMPLES_PER_PERIOD = 40
 
     def __post_init__(self):
         j1, j2 = self.target_pair
@@ -86,6 +84,95 @@ class GateResult:
     gate_time: float
 
 
+@dataclass(frozen=True)
+class _Drive:
+    """The normalized drive c(t) of one gate run, in omega_c units, and its
+    two integrals: the cos carrier under the Gaussian envelope, or the linear
+    interpolant of ``samples`` = (times, values) for a sampled profile."""
+
+    nu: float
+    tau: float
+    center: float
+    width: float
+    samples: tuple | None
+
+    @classmethod
+    def of(cls, spec: GateSpec, setup: TrapSetup) -> _Drive:
+        wc = setup.cyclotron_frequency
+        nu = spec.carrier_frequency / wc
+        samples = None
+        if spec.profile is not None:
+            times, values = spec.profile
+            times = np.asarray(times, dtype=float) * wc
+            period = 2.0 * math.pi / nu
+            density = len(times) / (times[-1] - times[0]) * period if len(times) > 1 else 0.0
+            if density < _PROFILE_SAMPLES_PER_PERIOD:
+                raise ValueError(
+                    "sampled drive under-resolved: need at least "
+                    f"{_PROFILE_SAMPLES_PER_PERIOD} samples per modulation period"
+                )
+            samples = (times, np.asarray(values, dtype=float))
+        return cls(nu, spec.gate_time * wc, spec.center * wc, spec.width * wc, samples)
+
+    def __call__(self, times):
+        if self.samples is not None:
+            sample_times, values = self.samples
+            return np.interp(times, sample_times, values, left=0.0, right=0.0)
+        arg = times - self.center
+        return np.cos(self.nu * arg) * np.exp(-((arg / self.width) ** 2))
+
+    def grid(self, omegas):
+        """Panels with _NODES_PER_PERIOD nodes on each period of the fastest of omegas and nu."""
+        fastest = max(float(np.max(omegas)), self.nu)
+        return grid_for_frequencies(0.0, self.tau, fastest, _NODES_PER_PERIOD)
+
+    def transform(self, omegas, scale):
+        """int_0^tau scale c(t) exp(i omega t) dt for each omega."""
+        grid = self.grid(omegas)
+        return grid.fourier(scale * self(grid.flat_times), omegas)
+
+    def kernel(self, omegas):
+        """Real per-mode kernel G(omega) = int_0^tau dt c(t) int_0^t ds c(s)
+        sin(omega (t - s)).  The Gaussian carrier takes the closed form
+        whenever its window truncation bound is at most 1e-10 of the largest
+        |G|; a sampled profile, or an envelope too wide for its window, takes
+        the panel quadrature."""
+        if self.samples is None:
+            kernel, bound = self.gaussian_kernel(omegas)
+            if bound.max() <= _CLOSED_FORM_RTOL * np.abs(kernel).max():
+                return kernel
+        return self.quadrature_kernel(omegas)
+
+    def gaussian_kernel(self, omegas):
+        """Infinite-line G of the Gaussian carrier and a bound on |Delta G|,
+        the error of dropping the window [0, tau].
+
+        With F Dawson's function and sigma the width,
+        G = (sqrt(pi) sigma^2 / 2) [(F((w+nu) sigma/sqrt2) + F((w-nu) sigma/sqrt2)) / 2
+        + exp(-nu^2 sigma^2 / 2) F(w sigma/sqrt2)].  The bound is
+        T [|C(w)| + 3T/2], with T = sqrt(pi) sigma erfc(tau / (2 sigma)) >= int |c|
+        outside the window of the centred envelope and
+        |C(w)| = (sqrt(pi) sigma / 2)(e^(-(w-nu)^2 sigma^2/4) + e^(-(w+nu)^2 sigma^2/4))
+        the carrier's Fourier magnitude.
+        """
+        sigma, nu = self.width, self.nu
+        x = np.asarray(omegas, dtype=float) * sigma / math.sqrt(2.0)
+        y = nu * sigma / math.sqrt(2.0)
+        kernel = 0.5 * math.sqrt(math.pi) * sigma**2 * (
+            0.5 * (dawsn(x + y) + dawsn(x - y)) + math.exp(-y * y) * dawsn(x)
+        )
+        tail = math.sqrt(math.pi) * sigma * erfc(0.5 * self.tau / sigma)
+        transform = 0.5 * math.sqrt(math.pi) * sigma * (
+            np.exp(-0.5 * (x - y) ** 2) + np.exp(-0.5 * (x + y) ** 2)
+        )
+        return kernel, tail * (transform + 1.5 * tail)
+
+    def quadrature_kernel(self, omegas):
+        """G by panel quadrature of the running integral, for any drive."""
+        grid = self.grid(omegas)
+        return grid.phase_kernel(self(grid.flat_times), omegas)
+
+
 def _pair_geometry(state: CrystalState, pair):
     j1, j2 = pair
     sep = state.positions[j1, :2] - state.positions[j2, :2]
@@ -93,40 +180,6 @@ def _pair_geometry(state: CrystalState, pair):
     if dist < 1e-12:
         raise ValueError("driven ions have zero in-plane separation")
     return sep / dist, dist
-
-
-def _dimensionless(spec: GateSpec, setup: TrapSetup):
-    wc = setup.cyclotron_frequency
-    dims = {
-        "nu": spec.carrier_frequency / wc,
-        "tau": spec.gate_time * wc,
-        "center": spec.center * wc,
-        "width": spec.width * wc,
-        "profile": None,
-    }
-    if spec.profile is not None:
-        times, values = spec.profile
-        times = np.asarray(times, dtype=float) * wc
-        values = np.asarray(values, dtype=float)
-        period = 2.0 * math.pi / dims["nu"]
-        density = len(times) / (times[-1] - times[0]) * period if len(times) > 1 else 0.0
-        if density < GateSpec._PROFILE_SAMPLES_PER_PERIOD:
-            raise ValueError(
-                "sampled drive under-resolved: need at least "
-                f"{GateSpec._PROFILE_SAMPLES_PER_PERIOD} samples per modulation period"
-            )
-        dims["profile"] = (times, values)
-    return dims
-
-
-def _carrier(times, dims):
-    """Normalized drive waveform: the cos carrier under the Gaussian
-    envelope, or the sampled profile supplied by the pulse designer."""
-    if dims["profile"] is not None:
-        sample_times, values = dims["profile"]
-        return np.interp(times, sample_times, values, left=0.0, right=0.0)
-    arg = times - dims["center"]
-    return np.cos(dims["nu"] * arg) * np.exp(-((arg / dims["width"]) ** 2))
 
 
 def _force_prefactor(spec: GateSpec, state, setup, amplitude=None):
@@ -147,62 +200,39 @@ def force_profile(t, spec: GateSpec, state: CrystalState, setup: TrapSetup):
     """
     if not 0.0 <= t <= spec.gate_time:
         raise ValueError("time outside the gate window")
-    dims = _dimensionless(spec, setup)
     unit, _ = _pair_geometry(state, spec.target_pair)
-    magnitude = _force_prefactor(spec, state, setup) * _carrier(
-        np.asarray(t * setup.cyclotron_frequency), dims
+    magnitude = _force_prefactor(spec, state, setup) * _Drive.of(spec, setup)(
+        np.asarray(t * setup.cyclotron_frequency)
     )
     out = np.zeros((state.n_ions, 3))
-    for j in spec.target_pair:
-        out[j, 0] = magnitude * unit[0]
-        out[j, 1] = magnitude * unit[1]
+    out[list(spec.target_pair), :2] = magnitude * unit
     return out
 
 
 def pair_couplings(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState, setup: TrapSetup):
-    """Per-mode complex coupling of each driven ion, including the 1/sqrt(2 hbar~)
-    normalization of the quantized drive but not the force magnitude."""
+    """Per-mode complex coupling of the driven ions, shape (2, 3N), row r for
+    ion ``spec.target_pair[r]``; includes the 1/sqrt(2 hbar~) normalization
+    of the quantized drive but not the force magnitude."""
+    if spectrum.reference.n_ions != state.n_ions:
+        raise ValueError("spectrum and state disagree on the ion count")
     scales = derive_scales(setup)
     unit, _ = _pair_geometry(state, spec.target_pair)
-    a_pos = spectrum.position_coefficients()
-    couplings = {}
-    for j in spec.target_pair:
-        couplings[j] = (unit[0] * a_pos[:, 3 * j] + unit[1] * a_pos[:, 3 * j + 1]) / math.sqrt(
-            2.0 * scales.hbar_tilde
-        )
-    return couplings
-
-
-def _grid(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
-    dims = _dimensionless(spec, setup)
-    fastest = max(float(spectrum.frequencies.max()), dims["nu"])
-    periods = fastest * dims["tau"] / (2.0 * math.pi)
-    if spec.nodes_per_period < 20:
-        required = math.ceil(20.0 * periods)
-        raise ValueError(
-            "quadrature under-resolved: need at least 20 nodes per period "
-            f"of the fastest oscillation (>= {required} samples in total)"
-        )
-    return grid_for_frequencies(0.0, dims["tau"], fastest, spec.nodes_per_period)
+    rows = spectrum.position_coefficients().T
+    x = 3 * np.asarray(spec.target_pair)
+    return (unit[0] * rows[x] + unit[1] * rows[x + 1]) / math.sqrt(2.0 * scales.hbar_tilde)
 
 
 def mode_drive(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
                setup: TrapSetup, qubit_signs=(1.0, 1.0)):
     """Evaluator t(s) -> per-mode drive amplitudes alpha_k(t) for one qubit
     sign configuration; times in seconds, output shape (3N, len(t))."""
-    if spectrum.reference.n_ions != state.n_ions:
-        raise ValueError("spectrum and state disagree on the ion count")
-    dims = _dimensionless(spec, setup)
-    couplings = pair_couplings(spec, spectrum, state, setup)
-    j1, j2 = spec.target_pair
-    s1, s2 = qubit_signs
-    weights = s1 * couplings[j1] + s2 * couplings[j2]
+    weights = np.asarray(qubit_signs) @ pair_couplings(spec, spectrum, state, setup)
+    drive = _Drive.of(spec, setup)
     prefactor = _force_prefactor(spec, state, setup)
 
     def evaluate(times):
         tt = np.atleast_1d(np.asarray(times, dtype=float)) * setup.cyclotron_frequency
-        profile = prefactor * _carrier(tt, dims)
-        return weights[:, None] * profile[None, :]
+        return weights[:, None] * (prefactor * drive(tt))[None, :]
 
     return evaluate
 
@@ -216,63 +246,17 @@ def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: Crystal
     sign; linear in the amplitude.  The two ions differ only in their
     coupling, so one grid and one drive integral serve both.
     """
-    dims = _dimensionless(spec, setup)
-    grid = _grid(spec, spectrum, setup)
     couplings = pair_couplings(spec, spectrum, state, setup)
     prefactor = _force_prefactor(spec, state, setup, amplitude=amplitude)
     omegas = spectrum.frequencies
-    integral = grid.fourier(prefactor * _carrier(grid.flat_times, dims), omegas)
-    return np.stack([couplings[j] * integral / np.sqrt(omegas) for j in spec.target_pair])
+    integral = _Drive.of(spec, setup).transform(omegas, prefactor)
+    return couplings * integral / np.sqrt(omegas)
 
 
 def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
-    """Real per-mode kernel G_k of the accumulated phase.
-
-    G_k = int_0^tau dt c(t) int_0^t ds c(s) sin(omega_k (t - s)) for the
-    normalized carrier-envelope profile c; the phase of a drive
-    alpha_k = A c(t) is then |A|^2 G_k.  The Gaussian carrier takes the
-    closed form whenever its window truncation bound is at most 1e-10 of
-    the largest |G_k|; a sampled profile, or an envelope too wide for its
-    window, takes the panel quadrature.
-    """
-    dims = _dimensionless(spec, setup)
-    if dims["profile"] is None:
-        kernel, bound = _gaussian_phase_kernel(dims, spectrum.frequencies)
-        if bound.max() <= _CLOSED_FORM_RTOL * np.abs(kernel).max():
-            return kernel
-    return _quadrature_phase_kernel(spec, spectrum, setup)
-
-
-def _gaussian_phase_kernel(dims, omegas):
-    """Infinite-line G_k of the Gaussian carrier and a bound on |Delta G_k|,
-    the error of dropping the window [0, tau].
-
-    With F Dawson's function and sigma the width,
-    G_k = (sqrt(pi) sigma^2 / 2) [(F((w+nu) sigma/sqrt2) + F((w-nu) sigma/sqrt2)) / 2
-    + exp(-nu^2 sigma^2 / 2) F(w sigma/sqrt2)].  The bound is
-    T [|C(w)| + 3T/2], with T = sqrt(pi) sigma erfc(tau / (2 sigma)) >= int |c|
-    outside the window of the centred envelope and
-    |C(w)| = (sqrt(pi) sigma / 2)(e^(-(w-nu)^2 sigma^2/4) + e^(-(w+nu)^2 sigma^2/4))
-    the carrier's Fourier magnitude.
-    """
-    sigma, nu = dims["width"], dims["nu"]
-    x = np.asarray(omegas, dtype=float) * sigma / math.sqrt(2.0)
-    y = nu * sigma / math.sqrt(2.0)
-    kernel = 0.5 * math.sqrt(math.pi) * sigma**2 * (
-        0.5 * (dawsn(x + y) + dawsn(x - y)) + math.exp(-y * y) * dawsn(x)
-    )
-    tail = math.sqrt(math.pi) * sigma * erfc(0.5 * dims["tau"] / sigma)
-    transform = 0.5 * math.sqrt(math.pi) * sigma * (
-        np.exp(-0.5 * (x - y) ** 2) + np.exp(-0.5 * (x + y) ** 2)
-    )
-    return kernel, tail * (transform + 1.5 * tail)
-
-
-def _quadrature_phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
-    """G_k by panel quadrature of the running integral, for any profile."""
-    grid = _grid(spec, spectrum, setup)
-    profile = _carrier(grid.flat_times, _dimensionless(spec, setup))
-    return grid.phase_kernel(profile, spectrum.frequencies)
+    """Real per-mode kernel G_k of the accumulated phase (``_Drive.kernel``);
+    the phase of a drive alpha_k = A c(t) is |A|^2 G_k."""
+    return _Drive.of(spec, setup).kernel(spectrum.frequencies)
 
 
 @dataclass(frozen=True)
@@ -283,7 +267,7 @@ class PhaseResult:
 
 
 def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-                    setup: TrapSetup, ion_scales=(1.0, 1.0)) -> PhaseResult:
+                    setup: TrapSetup) -> PhaseResult:
     """Accumulated phases for the four logical states and their gate combination
     theta = theta_00 - theta_01 - theta_10 + theta_11.
 
@@ -293,11 +277,8 @@ def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
     itself still cancels: at the fig4 point its terms reach about 1e4 while
     theta is pi."""
     kernel = phase_kernel(spec, spectrum, setup)
-    couplings = pair_couplings(spec, spectrum, state, setup)
+    w1, w2 = pair_couplings(spec, spectrum, state, setup)
     prefactor = _force_prefactor(spec, state, setup)
-    j1, j2 = spec.target_pair
-    w1 = ion_scales[0] * couplings[j1]
-    w2 = ion_scales[1] * couplings[j2]
     by_state = {}
     for label, (s1, s2) in SIGN_CONFIGS.items():
         weights = s1 * w1 + s2 * w2
@@ -309,8 +290,8 @@ def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
 
 
 def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-                     setup: TrapSetup, target=math.pi):
-    """Amplitude that makes |theta| equal the target, and the phases at it.
+                     setup: TrapSetup):
+    """Amplitude that makes |theta| equal pi, and the phases at it.
 
     Every phase scales as A^2, so one unit-amplitude probe (one phase
     kernel) gives both.
@@ -318,7 +299,7 @@ def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState
     probe = two_qubit_phase(replace(spec, amplitude=1.0), spectrum, state, setup)
     if probe.theta == 0.0:
         raise ValueError("degenerate drive: unit-amplitude phase vanishes")
-    amplitude = math.sqrt(target / abs(probe.theta))
+    amplitude = math.sqrt(math.pi / abs(probe.theta))
     scale = amplitude**2
     return amplitude, PhaseResult(
         theta=probe.theta * scale,
@@ -328,9 +309,9 @@ def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState
 
 
 def calibrate_amplitude(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-                        setup: TrapSetup, target=math.pi) -> float:
-    """Dimensionless force amplitude that makes |theta| equal the target."""
-    return calibrated_phase(spec, spectrum, state, setup, target)[0]
+                        setup: TrapSetup) -> float:
+    """Dimensionless force amplitude that makes |theta| equal pi."""
+    return calibrated_phase(spec, spectrum, state, setup)[0]
 
 
 def thermal_weights(frequencies, temperature, setup: TrapSetup, skip=None):

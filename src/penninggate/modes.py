@@ -49,7 +49,7 @@ class ModeSpectrum:
     diagonal of frequency pairs; ``coefficients`` holds
     A[k, j] = S[2k, j] + i S[2k+1, j] (0-based rows).  ``regularized_mode``
     marks the crystal-rotation mode whose zero frequency was lifted by the
-    epsilon shift; its frequency is an artifact of the regularization.
+    regularization shift; its frequency is an artifact of the regularization.
     """
 
     frequencies: np.ndarray       # (3N,) in omega_c units, ascending
@@ -215,7 +215,7 @@ def _williamson_block(chol, name):
     return freqs, s_trans.T
 
 
-def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> ModeSpectrum:
+def williamson(qh: QuadraticHamiltonian) -> ModeSpectrum:
     """Williamson normal form of the (regularized) phase-space Hessian.
 
     Splits the Hessian into its exactly decoupled blocks (in-plane 4N and
@@ -233,7 +233,7 @@ def williamson(qh: QuadraticHamiltonian, epsilon: float = _REGULARIZATION) -> Mo
         h = h - 0.5 * asym
 
     direction = _rotation_direction(qh.reference.positions) if qh.reference is not None else None
-    h_reg = h if direction is None else h + epsilon * np.outer(direction, direction)
+    h_reg = h if direction is None else h + _REGULARIZATION * np.outer(direction, direction)
 
     blocks = [(name, idx, h_reg[np.ix_(idx, idx)]) for name, idx in _decoupled_blocks(h_reg)]
     factors, failed = [], []

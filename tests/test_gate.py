@@ -160,6 +160,23 @@ def test_mode_drive_linearity_and_selection(gate_high, eq_high, spectrum_high, s
     assert np.abs(values[axial]).max() < 1e-12 * np.abs(values).max()
 
 
+def test_mode_drive_rows_integrate_to_the_residual_rows(gate_high, eq_high, spectrum_high,
+                                                        setup_high):
+    # the drive of qubit signs (1, 0) is ion j1's alone and (0, 1) ion j2's,
+    # so its e^(i w t) / sqrt(w) integral is residual row 0 or row 1
+    wc = setup_high.cyclotron_frequency
+    omegas = spectrum_high.frequencies
+    times = np.linspace(0.0, gate_high.gate_time, 20001)
+    phases = np.exp(1j * np.outer(omegas, times * wc)) / np.sqrt(omegas)[:, None]
+    rows = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
+    scale = np.abs(rows).max()
+    for r, signs in enumerate([(1.0, 0.0), (0.0, 1.0)]):
+        drive = mode_drive(gate_high, spectrum_high, eq_high, setup_high, signs)
+        integral = np.trapezoid(drive(times) * phases, times * wc, axis=1)
+        assert np.abs(integral - rows[r]).max() <= 1e-4 * scale
+        assert np.abs(integral - rows[1 - r]).max() > 1e-2 * scale
+
+
 def test_residual_displacement_linearity(gate_high, eq_high, spectrum_high, setup_high):
     base = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
                                  amplitude=1.0)[0]
@@ -177,7 +194,7 @@ def test_residual_displacement_linearity(gate_high, eq_high, spectrum_high, setu
     assert np.abs(zero).max() == 0.0
 
 
-def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000):
+def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000, monkeypatch):
     # slow-rotation configuration: residuals are far above the rounding
     # floor, so per-mode relative convergence is meaningful
     from penninggate import build_hessian, williamson
@@ -193,8 +210,8 @@ def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000):
                     gate_time=tau_g)
     coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low,
                                    amplitude=1.0)[0]
-    fine = residual_displacement(replace(spec, nodes_per_period=80), spectrum,
-                                 eq_low_p4000, setup_low, amplitude=1.0)[0]
+    monkeypatch.setattr(gate, "_NODES_PER_PERIOD", 80)
+    fine = residual_displacement(spec, spectrum, eq_low_p4000, setup_low, amplitude=1.0)[0]
     # modes the drive does not reach (the axial block of this planar
     # crystal) have an exactly zero coupling, hence exactly zero residuals
     dark = fine == 0.0
@@ -203,22 +220,12 @@ def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000):
     assert rel.max() < 1e-8
 
 
-def test_residual_displacement_refuses_underresolved(gate_high, eq_high, spectrum_high,
-                                                     setup_high):
-    bad = replace(gate_high, nodes_per_period=10)
-    with pytest.raises(ValueError, match="20 nodes per period"):
-        residual_displacement(bad, spectrum_high, eq_high, setup_high)
-
-
-def _per_ion_residual(spec, spectrum, state, setup, ion, amplitude):
+def _per_ion_residual(spec, spectrum, state, setup, row, amplitude):
     """The single-ion residual formula that the pair residuals replaced."""
-    dims = gate._dimensionless(spec, setup)
-    grid = gate._grid(spec, spectrum, setup)
-    couplings = pair_couplings(spec, spectrum, state, setup)
+    coupling = pair_couplings(spec, spectrum, state, setup)[row]
     prefactor = gate._force_prefactor(spec, state, setup, amplitude=amplitude)
-    profile = prefactor * gate._carrier(grid.flat_times, dims)
     omegas = spectrum.frequencies
-    return couplings[ion] * grid.fourier(profile, omegas) / np.sqrt(omegas)
+    return coupling * gate._Drive.of(spec, setup).transform(omegas, prefactor) / np.sqrt(omegas)
 
 
 @pytest.mark.parametrize("amplitude", [None, 1.0, 3.5])
@@ -228,17 +235,18 @@ def test_pair_residuals_equal_the_per_ion_formula(gate_high, eq_high, spectrum_h
     pair = residual_displacement(spec, spectrum_high, eq_high, setup_high,
                                  amplitude=amplitude)
     assert pair.shape == (2, spectrum_high.n_modes)
-    for row, ion in zip(pair, spec.target_pair):
-        expected = _per_ion_residual(spec, spectrum_high, eq_high, setup_high, ion, amplitude)
+    for r, row in enumerate(pair):
+        expected = _per_ion_residual(spec, spectrum_high, eq_high, setup_high, r, amplitude)
         np.testing.assert_array_equal(row, expected)
 
 
-def _windowed_carrier_transform(omega, dims, mp):
+def _windowed_carrier_transform(omega, drive, mp):
     """int_0^tau cos(nu (t - t_c)) exp(-((t - t_c)/sigma)^2) exp(i omega t) dt in
     closed form: e^(i omega t_c)/2 sum over kappa = omega +/- nu of
     (sqrt(pi) sigma/2) e^(-y^2) [erf((tau - t_c)/sigma - iy) - erf(-t_c/sigma - iy)],
     y = kappa sigma/2, evaluated at the working precision of ``mp``."""
-    tau, center, sigma, nu = (mp.mpf(dims[key]) for key in ("tau", "center", "width", "nu"))
+    tau, center, sigma, nu = (mp.mpf(getattr(drive, key))
+                              for key in ("tau", "center", "width", "nu"))
     omega = mp.mpf(omega)
     total = 0
     for kappa in (omega + nu, omega - nu):
@@ -257,14 +265,13 @@ def test_drive_integral_matches_the_mpmath_closed_form(eq_high, spectrum_high, s
     wc = setup_high.cyclotron_frequency
     tau_r = TWO_PI / (eq_high.rotation_frequency * wc)
     spec = GateSpec(pair_high, resolve_carrier(bands_high) * wc, tau_ratio * tau_r)
-    dims = gate._dimensionless(spec, setup_high)
-    grid = gate._grid(spec, spectrum_high, setup_high)
-    carrier = gate._carrier(grid.flat_times, dims)
-    got = grid.fourier(carrier, spectrum_high.frequencies)
+    drive = gate._Drive.of(spec, setup_high)
+    got = drive.transform(spectrum_high.frequencies, 1.0)
     with mpmath.workdps(40):
-        expected = np.array([_windowed_carrier_transform(w, dims, mpmath)
+        expected = np.array([_windowed_carrier_transform(w, drive, mpmath)
                              for w in spectrum_high.frequencies])
-    scale = np.abs(grid.weights.reshape(-1) * carrier).sum()
+    grid = drive.grid(spectrum_high.frequencies)
+    scale = np.abs(grid.weights.reshape(-1) * drive(grid.flat_times)).sum()
     assert np.abs(got - expected).max() <= 3e-14 * scale
 
 
@@ -288,7 +295,7 @@ def test_residual_matches_ode_displacement(gate_high, eq_high, spectrum_high, se
     floor = 1e-8 * np.abs(res).max()
     for k in np.argsort(np.abs(res))[::-1][:4]:
         omega = spectrum_high.frequencies[k]
-        w_k = couplings[j1][k]
+        w_k = couplings[0, k]
 
         def rhs(s, y):
             alpha = w_k * prefactor * math.cos(nu * (s - center)) * math.exp(
@@ -319,8 +326,12 @@ def test_phase_quadratic_in_amplitude(gate_high, eq_high, spectrum_high, setup_h
 
 def test_phase_bilinear_in_single_ion_force(gate_high, eq_high, spectrum_high, setup_high):
     theta = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
-    scaled = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high,
-                             ion_scales=(2.0, 1.0)).theta
+    # doubling ion j1's six coefficient columns doubles its coupling
+    j1 = gate_high.target_pair[0]
+    coefficients = spectrum_high.coefficients.copy()
+    coefficients[:, 6 * j1:6 * j1 + 6] *= 2.0
+    doubled = replace(spectrum_high, coefficients=coefficients)
+    scaled = two_qubit_phase(gate_high, doubled, eq_high, setup_high).theta
     assert scaled == pytest.approx(2.0 * theta, rel=1e-9)
 
 
@@ -402,17 +413,11 @@ def test_closed_form_phase_kernel_matches_quadrature(ratio, eq_high, spectrum_hi
     # the closed form is the infinite-line value: beyond rounding it may
     # differ from the windowed quadrature only by its truncation bound, which
     # is below 1e-12 of max |G| at tau/9 and tau/8 but not at tau/7
-    from penninggate.gate import (
-        _dimensionless,
-        _gaussian_phase_kernel,
-        _quadrature_phase_kernel,
-    )
-
     for fraction in (1 / 9, 1 / 8, 1 / 7):
         spec = midgap_spec(eq_high, bands_high, setup_high, pair_high, ratio, fraction)
-        closed, bound = _gaussian_phase_kernel(_dimensionless(spec, setup_high),
-                                               spectrum_high.frequencies)
-        quad = _quadrature_phase_kernel(spec, spectrum_high, setup_high)
+        drive = gate._Drive.of(spec, setup_high)
+        closed, bound = drive.gaussian_kernel(spectrum_high.frequencies)
+        quad = drive.quadrature_kernel(spectrum_high.frequencies)
         scale = np.abs(quad).max()
         assert np.all(np.abs(closed - quad) <= 1e-12 * scale + bound)
         if fraction != 1 / 7:
@@ -422,42 +427,29 @@ def test_closed_form_phase_kernel_matches_quadrature(ratio, eq_high, spectrum_hi
 def test_closed_form_phase_kernel_slow_carrier(setup_high):
     # nu sigma ~ 0.1: the exp(-nu^2 sigma^2 / 2) F(omega sigma / sqrt 2) term
     # carries half of G_k here, while it vanishes under a fast carrier
-    from penninggate.gate import (
-        _dimensionless,
-        _gaussian_phase_kernel,
-        _quadrature_phase_kernel,
-    )
-
     wc = setup_high.cyclotron_frequency
     omegas = np.array([0.21, 0.33, 0.52, 0.64, 0.77, 0.9])
     state, spectrum = synthetic_system(setup_high, omegas, mixing_matrix())
     spec = GateSpec(target_pair=(0, 1), carrier_frequency=0.001 * wc, gate_time=900.0 / wc)
-    closed, bound = _gaussian_phase_kernel(_dimensionless(spec, setup_high), omegas)
-    quad = _quadrature_phase_kernel(spec, spectrum, setup_high)
+    drive = gate._Drive.of(spec, setup_high)
+    closed, bound = drive.gaussian_kernel(omegas)
+    quad = drive.quadrature_kernel(omegas)
     assert bound.max() <= 1e-12 * np.abs(quad).max()
     assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max()
 
 
 def test_phase_kernel_takes_closed_form_only_inside_its_bound(eq_high, spectrum_high,
                                                               bands_high, setup_high, pair_high):
-    from penninggate.gate import (
-        _dimensionless,
-        _gaussian_phase_kernel,
-        _quadrature_phase_kernel,
-        phase_kernel,
-    )
-
     narrow = midgap_spec(eq_high, bands_high, setup_high, pair_high, 0.05, 1 / 9)
-    closed, _ = _gaussian_phase_kernel(_dimensionless(narrow, setup_high),
-                                       spectrum_high.frequencies)
-    np.testing.assert_array_equal(phase_kernel(narrow, spectrum_high, setup_high), closed)
+    closed, _ = gate._Drive.of(narrow, setup_high).gaussian_kernel(spectrum_high.frequencies)
+    np.testing.assert_array_equal(gate.phase_kernel(narrow, spectrum_high, setup_high), closed)
     # sigma = tau/5 leaves ~1e-4 of the envelope outside the window
     wide = midgap_spec(eq_high, bands_high, setup_high, pair_high, 0.05, 1 / 5)
-    _, bound = _gaussian_phase_kernel(_dimensionless(wide, setup_high),
-                                      spectrum_high.frequencies)
-    quad = _quadrature_phase_kernel(wide, spectrum_high, setup_high)
+    drive = gate._Drive.of(wide, setup_high)
+    _, bound = drive.gaussian_kernel(spectrum_high.frequencies)
+    quad = drive.quadrature_kernel(spectrum_high.frequencies)
     assert bound.max() > 1e-10 * np.abs(quad).max()
-    np.testing.assert_array_equal(phase_kernel(wide, spectrum_high, setup_high), quad)
+    np.testing.assert_array_equal(gate.phase_kernel(wide, spectrum_high, setup_high), quad)
 
 
 def test_calibration_scaling_and_recheck(gate_high, eq_high, spectrum_high, setup_high):
