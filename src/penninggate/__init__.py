@@ -23,7 +23,6 @@ from .crystal import (
     AnnealSchedule,
     CrystalState,
     anneal,
-    default_schedule,
     effective_potential,
     find_equilibrium,
     newton_refine,

@@ -16,26 +16,14 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 
-try:
-    from importlib.metadata import version as _pkg_version
-
-    __version__ = _pkg_version("penninggate")
-except Exception:  # not installed: manifest still gets written
-    __version__ = "unknown"
-
-from .crystal import (
-    AnnealSchedule,
-    CrystalState,
-    default_schedule,
-    find_equilibrium,
-    reduced_energy,
-)
+from . import __version__
+from .crystal import _GRAD_TOL, AnnealSchedule, CrystalState, find_equilibrium, reduced_energy
 from .gate import GateResult, GateSpec, calibrated_phase, fidelity_curve
 from .modes import build_hessian, classify_bands, williamson
 from .scales import TrapSetup, beta_critical, get_species
@@ -53,7 +41,8 @@ class StageError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved configuration of one experiment run."""
+    """Resolved configuration of one experiment run, checked when it is built.
+    Its fields are the config file's keys; one without a default is required."""
 
     species: str
     nu_c_hz: float
@@ -61,9 +50,8 @@ class ExperimentConfig:
     n_ions: int
     p_theta: float = 0.0
     pair_rule: str = "innermost"
-    nu_hz: object = "auto-gap"      # float or "auto-gap"
-    tau_ratio: float | None = None  # tau_g / tau_r
-    tau_g_s: float | None = None
+    nu_hz: float | str = "auto-gap"  # Hz, or "auto-gap"
+    tau_ratio: float | None = None   # gate time tau_g / tau_r
     temperatures_k: tuple = tuple(np.geomspace(1e-4, 1e-2, 20))
     sigma_fraction: float | None = None
     carrier_cycles: float = 9.0
@@ -73,15 +61,14 @@ class ExperimentConfig:
     seed: int = 0
     out_dir: str = "runs"
 
-    def validate(self):
+    def __post_init__(self):
         temps = list(self.temperatures_k)
         if not temps or any(t <= 0 for t in temps) or any(
             b <= a for a, b in zip(temps, temps[1:])
         ):
             raise ValueError("temperature grid must be strictly increasing and positive")
-        if self.tau_ratio is None and self.tau_g_s is None:
-            raise ValueError("either tau_ratio or tau_g_s must be set")
-        return self
+        if self.tau_ratio is None:
+            raise ValueError("tau_ratio must be set")
 
     def setup(self) -> TrapSetup:
         record = get_species(self.species)
@@ -93,34 +80,24 @@ class ExperimentConfig:
         )
 
     def schedule(self) -> AnnealSchedule:
-        base = default_schedule(self.setup(), self.p_theta, seed=self.seed)
-        overrides = {}
-        if self.anneal_cycles is not None:
-            overrides["cycles"] = self.anneal_cycles
-        if self.anneal_steps is not None:
-            overrides["steps_per_cycle"] = self.anneal_steps
-        return replace(base, **overrides) if overrides else base
+        """The search budget: the ``anneal_*`` keys that are set, else the defaults."""
+        budget = {"cycles": self.anneal_cycles, "steps_per_cycle": self.anneal_steps}
+        return AnnealSchedule(seed=self.seed,
+                              **{key: val for key, val in budget.items() if val is not None})
 
 
-_CONFIG_TYPES = {
-    "species": str,
-    "nu_c_hz": float,
-    "alpha_z": float,
-    "n_ions": int,
-    "p_theta": float,
-    "pair_rule": str,
-    "nu_hz": "nu",
-    "tau_ratio": float,
-    "tau_g_s": float,
-    "temperatures_k": "floats",
-    "sigma_fraction": float,
-    "carrier_cycles": float,
-    "tune_carrier": "bool",
-    "anneal_cycles": int,
-    "anneal_steps": int,
-    "seed": int,
-    "out_dir": str,
+# one value parser per field annotation; an annotation without one fails here
+_VALUE_PARSERS = {
+    "str": str,
+    "int": int,
+    "int | None": int,
+    "float": float,
+    "float | None": float,
+    "float | str": lambda val: val if val == "auto-gap" else float(val),
+    "bool": lambda val: val.lower() in ("1", "true", "yes", "on"),
+    "tuple": lambda val: tuple(float(tok) for tok in val.split(",")),
 }
+_CONFIG_PARSERS = {f.name: _VALUE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -134,35 +111,28 @@ def parse_config(path) -> ExperimentConfig:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_TYPES:
+        if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        kind = _CONFIG_TYPES[key]
-        if kind == "floats":
-            values[key] = tuple(float(tok) for tok in val.split(","))
-        elif kind == "bool":
-            values[key] = val.lower() in ("1", "true", "yes", "on")
-        elif kind == "nu":
-            values[key] = val if val == "auto-gap" else float(val)
-        else:
-            values[key] = kind(val)
-    required = ("species", "nu_c_hz", "alpha_z", "n_ions")
-    missing = [key for key in required if key not in values]
+        values[key] = _CONFIG_PARSERS[key](val)
+    missing = [f.name for f in fields(ExperimentConfig)
+               if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
-    return ExperimentConfig(**values).validate()
+    return ExperimentConfig(**values)
 
 
 def config_lines(config: ExperimentConfig):
+    """``key = value`` lines that ``parse_config`` reads back exactly; None is left out."""
     out = []
-    for key in _CONFIG_TYPES:
-        val = getattr(config, key)
+    for field in fields(config):
+        val = getattr(config, field.name)
         if val is None:
             continue
-        if key == "temperatures_k":
+        if isinstance(val, tuple):
             val = ",".join(_FMT.format(t) for t in val)
         elif isinstance(val, float):
             val = _FMT.format(val)
-        out.append(f"{key} = {val}")
+        out.append(f"{field.name} = {val}")
     return out
 
 
@@ -222,7 +192,7 @@ def load_state(path) -> CrystalState:
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     # the header's P_theta is kept, so validate() checks it against the positions
     state = replace(state, angular_momentum=float(header["P_theta"]), energy=energy,
-                    converged=state.gradient_norm < 1e-10)
+                    converged=state.gradient_norm < _GRAD_TOL)
     try:
         state.validate()
     except ValueError as exc:
@@ -347,7 +317,7 @@ def _modes(state: CrystalState, setup):
 def _gate_time(config: ExperimentConfig, state: CrystalState, setup):
     """Rotation period tau_r and the configured gate time tau_g, in seconds."""
     tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
-    return tau_r, config.tau_g_s if config.tau_g_s is not None else config.tau_ratio * tau_r
+    return tau_r, config.tau_ratio * tau_r
 
 
 def _carrier(config: ExperimentConfig, setup, state, spectrum, bands, pair, tau_g):
@@ -392,15 +362,15 @@ def _gate(config: ExperimentConfig, setup, state, spectrum, pair, nu, tau_g,
     )
 
 
-def _run_stages(config: ExperimentConfig, last, out_dir=None):
+def _run_stages(config: ExperimentConfig, last):
     """Run the stages up to ``last`` ("equilibrium", "modes" or "gate"),
-    writing each artifact as its stage completes and then the manifest.
+    writing each artifact into ``config.out_dir`` as its stage completes and
+    then the manifest.
 
     Only a run that goes past the modes requires a planar crystal.  A failing
     stage writes a FAILED marker and the manifest, then raises StageError.
     """
-    config.validate()
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     setup = config.setup()
@@ -446,13 +416,13 @@ def _run_stages(config: ExperimentConfig, last, out_dir=None):
     return run
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None) -> RunArtifacts:
-    """Execute the full pipeline and write all artifacts.
+def run_experiment(config: ExperimentConfig) -> RunArtifacts:
+    """Execute the full pipeline and write all artifacts into ``config.out_dir``.
 
     Stage failures are raised as StageError after flushing the artifacts
     produced so far together with a FAILED marker.
     """
-    run = _run_stages(config, "gate", out_dir)
+    run = _run_stages(config, "gate")
     return RunArtifacts(
         out_dir=run.out,
         equilibrium_file=run.out / "equilibrium.txt",
@@ -501,12 +471,14 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
     """Consolidated sweep over one parameter: one CSV row per grid point, and
     one per grid point and temperature for ``tau_g``.
 
-    Grid points are computed independently (thread pool), collected in grid
-    order, and per-point failures become rows with an error code instead of
-    aborting the sweep.  A ``T``, ``nu`` or ``tau_g`` row whose F underflowed
-    to 0 keeps its numbers with status ``underflow``.
+    Grid points are computed independently in a pool of ``threads`` worker
+    threads, collected in grid order, and per-point failures become rows
+    with an error code instead of aborting the sweep.  A ``T``, ``nu`` or
+    ``tau_g`` row whose F underflowed to 0 keeps its numbers with status
+    ``underflow``.
     """
-    config.validate()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if parameter not in _SWEEP_COLUMNS:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
     if len(grid) == 0:
@@ -562,11 +534,8 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
         except Exception as exc:  # per-point failure becomes a row
             return [(value, *[""] * (len(columns) - 1), f"error:{type(exc).__name__}")]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(safe_point, grid))
-    else:
-        results = [safe_point(v) for v in grid]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(safe_point, grid))
 
     text = _csv([*columns, "status"], [row for rows in results for row in rows])
     if out_path is not None:

@@ -31,13 +31,9 @@ from .scales import BOHR_MAGNETON
 
 
 def _load(args) -> ExperimentConfig:
-    config = parse_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["out_dir"] = args.out
-    return replace(config, **overrides) if overrides else config
+    overrides = {"seed": args.seed, "out_dir": args.out}
+    return replace(parse_config(args.config),
+                   **{key: val for key, val in overrides.items() if val is not None})
 
 
 def _cmd_equilibrium(args):
@@ -124,16 +120,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="penninggate", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(p):
+    def common(name, handler, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
         p.add_argument("--config", required=True, help="key = value experiment config")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
+        return p
 
-    common(sub.add_parser("equilibrium", help="solve the crystal equilibrium"))
-    common(sub.add_parser("modes", help="equilibrium plus normal-mode spectrum"))
-    common(sub.add_parser("gate", help="full gate pipeline with fidelity sweep"))
-    p_sweep = sub.add_parser("sweep", help="sweep one parameter")
-    common(p_sweep)
+    common("equilibrium", _cmd_equilibrium, "solve the crystal equilibrium")
+    common("modes", _cmd_modes, "equilibrium plus normal-mode spectrum")
+    common("gate", _cmd_gate, "full gate pipeline with fidelity sweep")
+    p_sweep = common("sweep", _cmd_sweep, "sweep one parameter")
     p_sweep.add_argument("--threads", type=int, default=1,
                          help="worker threads for the grid points")
     p_sweep.add_argument("--parameter", required=True,
@@ -142,6 +140,7 @@ def main(argv=None) -> int:
                          help="comma list, lo:hi:n, or log:lo:hi:n")
 
     p_pulse = sub.add_parser("pulse-design", help="state-dependent force pulse train")
+    p_pulse.set_defaults(handler=_cmd_pulse_design)
     p_pulse.add_argument("--scheme", required=True,
                          choices=[s.value for s in Scheme])
     p_pulse.add_argument("--nu-hz", type=float, required=True)
@@ -153,20 +152,10 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        if args.verb == "equilibrium":
-            return _cmd_equilibrium(args)
-        if args.verb == "modes":
-            return _cmd_modes(args)
-        if args.verb == "gate":
-            return _cmd_gate(args)
-        if args.verb == "sweep":
-            return _cmd_sweep(args)
-        if args.verb == "pulse-design":
-            return _cmd_pulse_design(args)
+        return args.handler(args)
     except (StageError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 2
 
 
 if __name__ == "__main__":

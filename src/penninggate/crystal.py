@@ -32,7 +32,9 @@ import numpy as np
 from .scales import TrapSetup, beta_from_ratio, stability_class, StabilityClass
 
 _MIN_SEPARATION = 1e-9
-_NEWTON_STEPS = 200  # Newton step budget of a refinement, and again after its planar snap
+_NEWTON_STEPS = 200  # Newton step budget of a refinement, its planar snap included
+_GRAD_TOL = 1e-10    # gradient norm below which a refinement has converged
+_SEED_JITTER = 0.1   # seed jitter, in units of the virial lattice spacing
 
 
 @dataclass(frozen=True)
@@ -89,23 +91,19 @@ class AnnealSchedule:
 
     ``cycles`` is the number of starts, one candidate each;
     ``steps_per_cycle`` caps the L-BFGS iterations of one start, and 0
-    returns the starts unchanged; ``step_size`` is the standard deviation
-    of the Gaussian jitter added to every coordinate of the hexagonal seed;
-    ``seed`` fixes that jitter.
+    returns the starts unchanged; ``seed`` fixes the Gaussian jitter that
+    ``anneal`` adds to every coordinate of the hexagonal seed.
     """
 
-    cycles: int
-    steps_per_cycle: int
-    step_size: float
-    seed: int
+    cycles: int = 12
+    steps_per_cycle: int = 1000
+    seed: int = 0
 
     def __post_init__(self):
         if self.cycles < 1:
             raise ValueError("cycle count must be at least 1")
         if self.steps_per_cycle < 0:
             raise ValueError("steps per cycle must be nonnegative")
-        if self.step_size <= 0:
-            raise ValueError("seed jitter must be positive")
 
 
 def _pair_distances(positions):
@@ -255,8 +253,8 @@ def hex_lattice(n_ions):
     return sites - sites.mean(axis=0)
 
 
-def _seed_spacing(setup: TrapSetup, p_theta):
-    """Spacing and anisotropy of the hexagonal lattice that carries P_theta.
+def _seed_spacing(setup: TrapSetup, p_theta) -> float:
+    """Spacing of the hexagonal lattice that carries P_theta.
 
     With positions a L (L the unit-spacing lattice), uniform-dilation
     stationarity gives the virial anisotropy beta(a) = V_C(L) / (alpha_z^2
@@ -265,7 +263,7 @@ def _seed_spacing(setup: TrapSetup, p_theta):
         P_theta(a) = (a^2 I(L) / 2) sqrt(1 - 4 alpha_z^2 (beta(a) + 1/2)),
 
     which rises from 0 at a_min, where beta(a_min) = beta_max.  Returns
-    (a, beta(a)) at the root of P_theta(a) = |p_theta|.
+    the root a of P_theta(a) = |p_theta|.
     """
     from scipy.optimize import brentq
 
@@ -274,40 +272,38 @@ def _seed_spacing(setup: TrapSetup, p_theta):
     lattice = hex_lattice(setup.ion_count)
     inertia = float(np.sum(lattice**2))
     if inertia <= 0.0:  # a single ion: no Coulomb scale
-        return 1.0, beta_max
+        return 1.0
     beta_unit = _implied_anisotropy(lattice, alpha_z)
 
-    def beta_at(a):
-        return beta_unit / a**3
-
     def mismatch(a):
-        s2 = max(1.0 - 4.0 * alpha_z**2 * (beta_at(a) + 0.5), 0.0)
+        s2 = max(1.0 - 4.0 * alpha_z**2 * (beta_unit / a**3 + 0.5), 0.0)
         return 0.5 * a**2 * inertia * math.sqrt(s2) - abs(p_theta)
 
     a_min = (beta_unit / beta_max) ** (1.0 / 3.0)
     if p_theta == 0.0:
-        return a_min, beta_max
+        return a_min
     a_hi = 2.0 * a_min
     while mismatch(a_hi) < 0.0:
         a_hi *= 2.0
-    a = brentq(mismatch, a_min, a_hi, xtol=1e-12 * a_hi)
-    return a, beta_at(a)
+    return brentq(mismatch, a_min, a_hi, xtol=1e-12 * a_hi)
 
 
 def _seed_positions(setup: TrapSetup, p_theta):
-    """Planar hexagonal lattice at the virial spacing of ``_seed_spacing``."""
+    """Planar hexagonal lattice at the virial spacing of ``_seed_spacing``,
+    and that spacing."""
     n = setup.ion_count
-    spacing, _ = _seed_spacing(setup, p_theta)
+    spacing = _seed_spacing(setup, p_theta)
     positions = np.zeros((n, 3))
     positions[:, :2] = spacing * hex_lattice(n)
-    return positions
+    return positions, spacing
 
 
 def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     """Multi-start L-BFGS search of the reduced energy at fixed P_theta.
 
     Each of the ``schedule.cycles`` starts is a planar hexagonal seed at the
-    virial spacing, jittered by ``schedule.step_size`` from
+    virial spacing for this P_theta, with a Gaussian jitter of a tenth of
+    that spacing (``_SEED_JITTER``) on every coordinate, drawn from
     ``schedule.seed``.  Each start runs L-BFGS-B with the analytic gradient
     for at most ``schedule.steps_per_cycle`` iterations at scipy's default
     tolerances, since Newton refinement finishes the job.  Those stop short
@@ -334,13 +330,13 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
             start = result.x.reshape(n, 3)
         return CrystalState.at(start, rotation_frequency_from_ptheta(start, p_theta), alpha_z)
 
-    lattice = _seed_positions(setup, p_theta)
+    lattice, spacing = _seed_positions(setup, p_theta)
     rng = np.random.default_rng(schedule.seed)
-    return [search(lattice + schedule.step_size * rng.standard_normal((n, 3)))
+    return [search(lattice + _SEED_JITTER * spacing * rng.standard_normal((n, 3)))
             for _ in range(schedule.cycles)]
 
 
-def newton_refine(candidate: CrystalState, grad_tol=1e-10) -> CrystalState:
+def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
     """Damped Newton minimization of the effective potential at fixed alpha_r.
 
     Energy never increases along the iteration (backtracking line search with
@@ -349,8 +345,11 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10) -> CrystalState:
     null direction t is removed with the rank-one projector 1 - t t^T.
     Converged means the full 3N gradient norm dropped below ``grad_tol``.  A
     planar-class crystal (beta < beta_c) that converges with small nonzero z
-    is snapped to z = 0 once, and the loop restarts there with the energy
-    recomputed, the shift reset and a fresh budget of ``_NEWTON_STEPS``.
+    is snapped to z = 0, and the loop continues there with the energy
+    recomputed and the shift reset, within the same budget of
+    ``_NEWTON_STEPS`` steps.  The snap fires at most once: at z = 0 the
+    z-gradient and the xz/yz Hessian entries are exact zeros, so every later
+    step keeps z exactly 0.
     """
     from scipy.linalg import cho_solve
 
@@ -361,16 +360,16 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10) -> CrystalState:
     planar = stability_class(beta_from_ratio(alpha_r, alpha_z), n) is StabilityClass.PLANAR_2D
     energy = effective_potential(pos, alpha_r, alpha_z)
     shift = 0.0
-    iterations, limit, snapped = 0, _NEWTON_STEPS, False
+    iterations = 0
     while True:
         gflat = effective_potential_gradient(pos, alpha_r, alpha_z).reshape(-1)
         converged = float(np.linalg.norm(gflat)) < grad_tol
-        if converged and planar and not snapped and 0.0 < np.abs(pos[:, 2]).max() < 1e-4:
+        if converged and planar and 0.0 < np.abs(pos[:, 2]).max() < 1e-4:
             pos[:, 2] = 0.0
             energy = effective_potential(pos, alpha_r, alpha_z)
-            shift, limit, snapped = 0.0, iterations + _NEWTON_STEPS, True
+            shift = 0.0
             continue
-        if converged or iterations == limit:
+        if converged or iterations == _NEWTON_STEPS:
             break
         hess = effective_potential_hessian(pos, alpha_r, alpha_z)
         scale = float(np.abs(np.diag(hess)).max()) or 1.0
@@ -412,25 +411,20 @@ def newton_refine(candidate: CrystalState, grad_tol=1e-10) -> CrystalState:
     return CrystalState.at(pos, alpha_r, alpha_z, converged, iterations)
 
 
-def default_schedule(setup: TrapSetup, p_theta=0.0, seed=0) -> AnnealSchedule:
-    """Search defaults: 12 starts of at most 1000 L-BFGS iterations each,
-    jittered by a tenth of the virial lattice spacing."""
-    spacing, _ = _seed_spacing(setup, p_theta)
-    return AnnealSchedule(cycles=12, steps_per_cycle=1000, step_size=0.1 * spacing, seed=seed)
-
-
-def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None = None,
-                     initial_positions=None, grad_tol=1e-10) -> CrystalState:
+def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = AnnealSchedule(),
+                     initial_positions=None) -> CrystalState:
     """Self-consistent equilibrium at fixed canonical angular momentum.
 
     Unless seeded with initial positions, runs the multi-start search
-    (``anneal``), refines every candidate and returns the refined crystal of
-    lowest reduced energy; candidates whose refinement fails are skipped.
+    (``anneal`` with ``schedule``, by default 12 starts of at most 1000
+    L-BFGS iterations from seed 0), refines every candidate to a gradient
+    norm below ``_GRAD_TOL`` and returns the refined crystal of lowest
+    reduced energy; candidates whose refinement fails are skipped.
     The refinement is Newton at fixed rotation frequency inside a scalar
     root-find for the rotation frequency whose refined configuration carries
     the requested P_theta; its inner minimizations are warm-started with the
     exact planar scaling positions ~ beta^(-1/3), and each snaps a planar
-    crystal to z = 0 with one restart of its Newton loop.
+    crystal to z = 0 inside its Newton loop.
     """
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0
@@ -439,14 +433,12 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule | None 
     if initial_positions is not None:
         seeds = [np.array(initial_positions, dtype=float).reshape(setup.ion_count, 3)]
     else:
-        if schedule is None:
-            schedule = default_schedule(setup, target)
         seeds = [c.positions for c in anneal(setup, target, schedule)]
 
     solved, failure = [], None
     for seed in seeds:
         try:
-            solved.append(_solve_at_fixed_ptheta(seed, target, alpha_z, grad_tol))
+            solved.append(_solve_at_fixed_ptheta(seed, target, alpha_z))
         except (RuntimeError, ValueError) as exc:
             failure = exc
     if not solved:
@@ -474,7 +466,7 @@ def _implied_anisotropy(positions, alpha_z):
     return max(coulomb_energy(positions) / (alpha_z**2 * inertia), 1e-300)
 
 
-def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
+def _solve_at_fixed_ptheta(seed_positions, target, alpha_z):
     """Outer solve: rotation frequency whose refined crystal carries P_theta.
 
     One loop over one (positions, beta) pair, starting from the seed at its
@@ -519,7 +511,7 @@ def _solve_at_fixed_ptheta(seed_positions, target, alpha_z, grad_tol):
             raise ValueError("rotation frequency outside the confined window")
         if beta_next != beta:
             positions = positions * (beta / beta_next) ** (1.0 / 3.0)
-        state = newton_refine(CrystalState.at(positions, alpha_r, alpha_z), grad_tol=grad_tol)
+        state = newton_refine(CrystalState.at(positions, alpha_r, alpha_z))
         if not state.converged:
             raise RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
         steps += state.refine_iterations

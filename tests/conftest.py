@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from penninggate import (
+    AnnealSchedule,
     TrapSetup,
     build_hessian,
     classify_bands,
-    default_schedule,
     find_equilibrium,
     get_species,
     williamson,
@@ -40,7 +40,7 @@ def setup_high(beryllium):
 
 @pytest.fixture(scope="session")
 def eq_low_p0(setup_low):
-    return find_equilibrium(setup_low, 0.0, default_schedule(setup_low, 0.0, seed=7))
+    return find_equilibrium(setup_low, 0.0, AnnealSchedule(seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -50,7 +50,7 @@ def eq_low_p4000(setup_low, eq_low_p0):
 
 @pytest.fixture(scope="session")
 def eq_high(setup_high):
-    return find_equilibrium(setup_high, 1.3e5, default_schedule(setup_high, 1.3e5, seed=7))
+    return find_equilibrium(setup_high, 1.3e5, AnnealSchedule(seed=7))
 
 
 @pytest.fixture(scope="session")
@@ -79,6 +79,4 @@ def small_pair_setup(beryllium):
 
 @pytest.fixture(scope="session")
 def eq_pair(small_pair_setup):
-    return find_equilibrium(
-        small_pair_setup, 0.0, default_schedule(small_pair_setup, 0.0, seed=3)
-    )
+    return find_equilibrium(small_pair_setup, 0.0, AnnealSchedule(seed=3))

@@ -316,9 +316,9 @@ def test_criterion_9_determinism(tmp_path):
         species="Be+", nu_c_hz=7.608e6, alpha_z=0.02, n_ions=6, p_theta=5000.0,
         tau_ratio=0.006, temperatures_k=(1e-4, 1e-3), anneal_cycles=6,
         anneal_steps=600, seed=12, out_dir=str(tmp_path / "a"),
-    ).validate()
+    )
     art_a = run_experiment(config)
-    art_b = run_experiment(config, out_dir=str(tmp_path / "b"))
+    art_b = run_experiment(replace(config, out_dir=str(tmp_path / "b")))
     same_bytes = all(
         getattr(art_a, name).read_bytes() == getattr(art_b, name).read_bytes()
         for name in ("equilibrium_file", "spectrum_file", "fidelity_file", "phase_file")
@@ -326,7 +326,7 @@ def test_criterion_9_determinism(tmp_path):
     sweep_cfg = ExperimentConfig(
         species="Be+", nu_c_hz=76.08e3, alpha_z=0.7, n_ions=30, p_theta=0.0,
         tau_ratio=0.006, temperatures_k=(1e-4, 1e-3), seed=7, out_dir=str(tmp_path),
-    ).validate()
+    )
     grid = [0.0, 2000.0, 4000.0]
     serial = sweep(sweep_cfg, "p_theta", grid, threads=1)
     threaded = sweep(sweep_cfg, "p_theta", grid, threads=3)

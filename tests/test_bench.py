@@ -36,11 +36,18 @@ def small_config(tmp_path, **overrides):
         out_dir=str(tmp_path / "out"),
     )
     base.update(overrides)
-    return ExperimentConfig(**base).validate()
+    return ExperimentConfig(**base)
 
 
-def test_config_round_trip(tmp_path):
-    config = small_config(tmp_path)
+# the second config sets every field away from its default, so the round
+# trip passes through every value parser
+@pytest.mark.parametrize("overrides", [
+    {},
+    dict(pair_rule="indices:0,1", nu_hz=3.878e6, sigma_fraction=0.125, carrier_cycles=12.0,
+         tune_carrier=True, temperatures_k=(2e-4, 5e-3), anneal_cycles=3, anneal_steps=50),
+], ids=["small", "every-field"])
+def test_config_round_trip(tmp_path, overrides):
+    config = small_config(tmp_path, **overrides)
     path = tmp_path / "run.cfg"
     path.write_text("\n".join(config_lines(config)) + "\n")
     parsed = parse_config(path)
@@ -176,6 +183,17 @@ def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
     assert float(rows[0][2]) > beta_critical(8) > float(rows[1][2])
 
 
+def test_manifest_names_the_package_version(tmp_path):
+    import penninggate
+    from penninggate.cli import main
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
+    assert main(["equilibrium", "--config", str(cfg)]) == 0
+    manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+    assert manifest[0] == f"# penninggate {penninggate.__version__}"
+
+
 def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
     artifacts = run_experiment(small_config(tmp_path))
     lines = artifacts.manifest_file.read_text().splitlines()
@@ -247,13 +265,24 @@ def test_sweep_rejects_bad_input(tmp_path):
         sweep(config, "T", [])
 
 
+def test_sweep_needs_at_least_one_thread(tmp_path, capsys):
+    from penninggate.cli import main
+
+    config = small_config(tmp_path)
+    with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
+        sweep(config, "T", [1e-3], threads=0)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(config)) + "\n")
+    assert main(["sweep", "--config", str(cfg), "--parameter", "T", "--grid", "1e-3",
+                 "--threads", "0"]) == 1
+    assert capsys.readouterr().err == "error: threads must be at least 1, got 0\n"
+
+
 def test_manifest_reproduces_run(tmp_path):
     config = small_config(tmp_path, out_dir=str(tmp_path / "first"))
     artifacts = run_experiment(config)
-    manifest = artifacts.manifest_file
-    replay = parse_config(manifest)
-    replay = replay.validate()
-    rerun = run_experiment(replay, out_dir=str(tmp_path / "replay"))
+    replay = parse_config(artifacts.manifest_file)
+    rerun = run_experiment(replace(replay, out_dir=str(tmp_path / "replay")))
     assert artifacts.fidelity_file.read_bytes() == rerun.fidelity_file.read_bytes()
     assert artifacts.equilibrium_file.read_bytes() == rerun.equilibrium_file.read_bytes()
 
@@ -273,7 +302,7 @@ def test_tau_ratio_sweep_monotone_curves_ordered_by_carrier(tmp_path, setup_low,
         species="Be+", nu_c_hz=76.08e3, alpha_z=0.7, n_ions=30, p_theta=4000.0,
         tau_ratio=0.1, temperatures_k=(1e-4, 1e-3, 1e-2), seed=7,
         out_dir=str(tmp_path),
-    ).validate()
+    )
     # the default 9 carrier cycles per gate leak enough of the envelope's
     # spectrum onto the ExB modes that F underflows on every row; 18 cycles
     # keep F > 0 on every row of the longer gates

@@ -2,7 +2,6 @@
 refinement."""
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +13,6 @@ from penninggate import (
     StabilityClass,
     TrapSetup,
     anneal,
-    default_schedule,
     find_equilibrium,
     load_state,
     newton_refine,
@@ -122,7 +120,7 @@ def test_rotation_frequency_at_slow_point(eq_low_p4000):
 
 
 def test_anneal_two_ions_near_oracle(small_pair_setup):
-    schedule = default_schedule(small_pair_setup, 0.0, seed=5)
+    schedule = AnnealSchedule(seed=5)
     candidates = anneal(small_pair_setup, 0.0, schedule)
     best = min(candidates, key=lambda c: c.energy)
     d = np.linalg.norm(best.positions[0] - best.positions[1])
@@ -130,18 +128,20 @@ def test_anneal_two_ions_near_oracle(small_pair_setup):
 
 
 def test_anneal_zero_steps_returns_seed(small_pair_setup):
-    # zero L-BFGS steps: every candidate is its jittered virial-lattice start
-    schedule = AnnealSchedule(cycles=2, steps_per_cycle=0, step_size=1.0, seed=9)
-    lattice = _seed_positions(small_pair_setup, 0.0)
+    # zero L-BFGS steps: every candidate is its virial-lattice start, jittered
+    # by a tenth of the lattice spacing
+    schedule = AnnealSchedule(cycles=2, steps_per_cycle=0, seed=9)
+    lattice, spacing = _seed_positions(small_pair_setup, 0.0)
     rng = np.random.default_rng(9)
     candidates = anneal(small_pair_setup, 0.0, schedule)
     assert len(candidates) == 2
     for cand in candidates:
-        np.testing.assert_array_equal(cand.positions, lattice + rng.standard_normal((2, 3)))
+        np.testing.assert_array_equal(cand.positions,
+                                      lattice + 0.1 * spacing * rng.standard_normal((2, 3)))
 
 
 def test_anneal_deterministic_for_fixed_seed(small_pair_setup):
-    schedule = default_schedule(small_pair_setup, 0.0, seed=21)
+    schedule = AnnealSchedule(seed=21)
     first = anneal(small_pair_setup, 0.0, schedule)
     second = anneal(small_pair_setup, 0.0, schedule)
     assert len(first) == len(second)
@@ -193,7 +193,7 @@ def test_newton_refine_snaps_a_planar_crystal_to_the_plane(eq_high):
     assert np.all(refined.positions[:, 2] == 0.0)
 
 
-def test_planar_snap_is_a_fresh_restart_of_the_same_loop(small_pair_setup, monkeypatch):
+def test_planar_snap_continues_the_same_loop_in_the_plane(small_pair_setup, monkeypatch):
     # two ions 1e-6 apart in the plane and 3e-6 along z: at this coarse
     # tolerance Newton converges with z still nonzero and a Levenberg shift
     # in hand, and zeroing z raises the in-plane gradient above the tolerance
@@ -211,9 +211,11 @@ def test_planar_snap_is_a_fresh_restart_of_the_same_loop(small_pair_setup, monke
     snapped[:, 2] = 0.0
     after = newton_refine(CrystalState.at(snapped, 0.5, alpha_z), grad_tol=tol)
     assert after.refine_iterations > 0
-    # energy recomputed, shift reset to 0 and a fresh step budget
+    # energy recomputed and shift reset to 0; the post-snap steps stay in the
+    # plane, so the snap cannot fire twice
     assert refined.converged
     np.testing.assert_array_equal(refined.positions, after.positions)
+    assert np.all(refined.positions[:, 2] == 0.0)
     assert refined.refine_iterations == before.refine_iterations + after.refine_iterations
 
 
@@ -229,8 +231,7 @@ def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
         return state
 
     monkeypatch.setattr(crystal, "newton_refine", counted)
-    schedule = replace(default_schedule(setup_high, 1.3e5, seed=7), cycles=1)
-    state = find_equilibrium(setup_high, 1.3e5, schedule)
+    state = find_equilibrium(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=7))
     assert len(steps) >= 2
     assert state.refine_iterations == sum(steps)
 
@@ -316,7 +317,7 @@ KNOWN_SHELLS = {2: (2,), 3: (3,), 4: (4,), 5: (5,), 6: (1, 5), 7: (1, 6), 8: (1,
 @pytest.mark.parametrize("n_ions", sorted(KNOWN_SHELLS))
 def test_small_cluster_shell_structure(beryllium, n_ions):
     setup = TrapSetup(beryllium, 2 * math.pi * 76.08e3, 0.7, n_ions)
-    found = find_equilibrium(setup, 0.0, default_schedule(setup, 0.0, seed=2))
+    found = find_equilibrium(setup, 0.0, AnnealSchedule(seed=2))
     # oracle: exhaustive random restarts
     best = None
     for seed in range(8):
@@ -381,7 +382,7 @@ def test_seed_is_planar_at_the_final_anisotropy(point, setup_high, setup_low, eq
         "slow_p0": (setup_low, 0.0, eq_low_p0),
         "slow_p4000": (setup_low, 4000.0, eq_low_p4000),
     }[point]
-    seed = _seed_positions(setup, p_theta)
+    seed, _ = _seed_positions(setup, p_theta)
     assert np.all(seed[:, 2] == 0.0)
     beta = _implied_anisotropy(seed, setup.axial_ratio)
     assert stability_class(beta, setup.ion_count) is StabilityClass.PLANAR_2D
@@ -403,7 +404,7 @@ def jittered_hex_start(n_ions, p_theta, seed):
                          [(30, 1.3e5, 64978.45739053232), (60, 4e5, 199935.59614697687)])
 def test_search_is_no_worse_than_warm_starts(beryllium, n_ions, p_theta, annealed):
     setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, n_ions)
-    found = find_equilibrium(setup, p_theta, default_schedule(setup, p_theta, seed=1))
+    found = find_equilibrium(setup, p_theta, AnnealSchedule(seed=1))
     searched = reduced_energy(found.positions, p_theta, 0.02)
     assert searched <= annealed
     warm = min(
@@ -416,6 +417,6 @@ def test_search_is_no_worse_than_warm_starts(beryllium, n_ions, p_theta, anneale
 
 
 def test_search_repeats_bit_for_bit(setup_high, eq_high):
-    again = find_equilibrium(setup_high, 1.3e5, default_schedule(setup_high, 1.3e5, seed=7))
+    again = find_equilibrium(setup_high, 1.3e5, AnnealSchedule(seed=7))
     np.testing.assert_array_equal(again.positions, eq_high.positions)
     assert again.rotation_frequency == eq_high.rotation_frequency

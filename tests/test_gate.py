@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.integrate import solve_ivp
+from scipy.integrate import solve_ivp, trapezoid
 
 from penninggate import (
     GateSpec,
@@ -134,7 +134,7 @@ def test_force_profile_time_integral_vanishes(eq_high, setup_high, pair_high):
     values = np.array(
         [force_profile(t, spec, eq_high, setup_high)[pair_high[0], 0] for t in times]
     )
-    integral = np.trapezoid(values, times)
+    integral = trapezoid(values, times)
     peak = np.abs(values).max()
     assert abs(integral) < 1e-6 * peak * tau_g
 
@@ -172,7 +172,7 @@ def test_mode_drive_rows_integrate_to_the_residual_rows(gate_high, eq_high, spec
     scale = np.abs(rows).max()
     for r, signs in enumerate([(1.0, 0.0), (0.0, 1.0)]):
         drive = mode_drive(gate_high, spectrum_high, eq_high, setup_high, signs)
-        integral = np.trapezoid(drive(times) * phases, times * wc, axis=1)
+        integral = trapezoid(drive(times) * phases, times * wc, axis=1)
         assert np.abs(integral - rows[r]).max() <= 1e-4 * scale
         assert np.abs(integral - rows[1 - r]).max() > 1e-2 * scale
 
@@ -368,7 +368,7 @@ def test_phase_adiabatic_oracle(setup_high):
     c = np.cos(0.001 * (times - tau * wc / 2)) * np.exp(
         -(((times - tau * wc / 2) / (tau * wc / 9.0)) ** 2)
     )
-    convolution = mag**2 * np.trapezoid(c * c, times)
+    convolution = mag**2 * trapezoid(c * c, times)
     theta_oracle = 8.0 * s_adia[0, 3] * convolution
     assert abs(theta) == pytest.approx(abs(theta_oracle), rel=0.01)
 
@@ -392,7 +392,7 @@ def test_phase_modulated_oracle(setup_high):
     mag = scales.hbar_tilde * (freqs.omega_xy / wc) / dist
     times = np.linspace(0.0, tau * wc, 400001)
     env = np.exp(-(((times - tau * wc / 2) / (tau * wc / 9.0)) ** 2))
-    convolution = mag**2 * np.trapezoid(env * env, times)
+    convolution = mag**2 * trapezoid(env * env, times)
     theta_oracle = 8.0 * s_mod[0, 3] * convolution  # cos^2 already averaged
     assert abs(theta) == pytest.approx(abs(theta_oracle), rel=0.02)
 

@@ -8,11 +8,11 @@ import pytest
 from scipy.linalg import expm, hessenberg
 
 from penninggate import (
+    AnnealSchedule,
     TrapSetup,
     modes,
     build_hessian,
     classify_bands,
-    default_schedule,
     find_equilibrium,
     orthogonal_modes,
     trap_frequencies,
@@ -62,7 +62,7 @@ def finite_difference_hessian(state, h=5e-4):
 def eq_five(beryllium):
     # a small planar crystal at a generic rotation frequency
     setup = TrapSetup(beryllium, TWO_PI * 76.08e3, 0.7, 5)
-    return find_equilibrium(setup, 150.0, default_schedule(setup, 150.0, seed=13))
+    return find_equilibrium(setup, 150.0, AnnealSchedule(seed=13))
 
 
 def test_momentum_diagonal_is_unity(eq_five):
@@ -224,7 +224,7 @@ def test_axial_block_modes_are_the_axial_band(spectrum_high, bands_high):
 
 def test_three_dimensional_crystal_takes_the_full_block(beryllium):
     setup = TrapSetup(beryllium, TWO_PI * 7.608e6, 0.02, 8)
-    state = find_equilibrium(setup, 2000.0, default_schedule(setup, 2000.0, seed=3))
+    state = find_equilibrium(setup, 2000.0, AnnealSchedule(seed=3))
     assert stability_class(state.anisotropy, 8) is StabilityClass.CONFINED_3D
     assert np.abs(state.positions[:, 2]).max() > 1.0
     spec = williamson(build_hessian(state))
