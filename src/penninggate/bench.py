@@ -86,6 +86,13 @@ class ExperimentConfig:
                               **{key: val for key, val in budget.items() if val is not None})
 
 
+def _parse_bool(val):
+    for truth, words in ((True, ("true", "1", "yes", "on")), (False, ("false", "0", "no", "off"))):
+        if val.lower() in words:
+            return truth
+    raise ValueError(f"expected true/false, 1/0, yes/no or on/off, got {val!r}")
+
+
 # one value parser per field annotation; an annotation without one fails here
 _VALUE_PARSERS = {
     "str": str,
@@ -94,7 +101,7 @@ _VALUE_PARSERS = {
     "float": float,
     "float | None": float,
     "float | str": lambda val: val if val == "auto-gap" else float(val),
-    "bool": lambda val: val.lower() in ("1", "true", "yes", "on"),
+    "bool": _parse_bool,
     "tuple": lambda val: tuple(float(tok) for tok in val.split(",")),
 }
 _CONFIG_PARSERS = {f.name: _VALUE_PARSERS[f.type] for f in fields(ExperimentConfig)}
@@ -113,7 +120,10 @@ def parse_config(path) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_PARSERS[key](val)
+        try:
+            values[key] = _CONFIG_PARSERS[key](val)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
     missing = [f.name for f in fields(ExperimentConfig)
                if f.default is MISSING and f.name not in values]
     if missing:

@@ -20,6 +20,10 @@ frame.  Equilibria at fixed P_theta are found in three steps:
   potential at fixed alpha_r;
 * an outer scalar root-find for the alpha_r whose refined crystal carries the
   target P_theta; the refined crystal of lowest reduced energy is kept.
+
+A planar-class crystal (beta < beta_c(N)) is searched and refined in its
+d = 2 in-plane coordinates, any other in d = 3: the potentials, gradients
+and Hessians take positions of shape (N, d).
 """
 
 from __future__ import annotations
@@ -29,10 +33,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .scales import TrapSetup, beta_from_ratio, stability_class, StabilityClass
+from .scales import TrapSetup, beta_critical, beta_from_ratio, stability_class, StabilityClass
 
 _MIN_SEPARATION = 1e-9
-_NEWTON_STEPS = 200  # Newton step budget of a refinement, its planar snap included
+_NEWTON_STEPS = 200  # Newton step budget of a refinement
 _GRAD_TOL = 1e-10    # gradient norm below which a refinement has converged
 _SEED_JITTER = 0.1   # seed jitter, in units of the virial lattice spacing
 
@@ -54,8 +58,10 @@ class CrystalState:
     @classmethod
     def at(cls, positions, alpha_r, axial_ratio, converged=False, refine_iterations=None):
         """State of ``positions`` at rotation alpha_r, with the anisotropy,
-        P_theta, energy and gradient norm that follow from them."""
+        P_theta, energy and gradient norm that follow from them; in-plane
+        (N, 2) positions are placed at z = 0."""
         positions = np.asarray(positions, dtype=float)
+        positions = np.pad(positions, ((0, 0), (0, 3 - positions.shape[1])))
         grad = effective_potential_gradient(positions, alpha_r, axial_ratio)
         return cls(
             positions=positions,
@@ -124,64 +130,57 @@ def coulomb_energy(positions) -> float:
     return 0.5 * float(np.sum(1.0 / dist))
 
 
+def _trap_curvature(alpha_r, axial_ratio, dim):
+    """Trap curvature along each of the first ``dim`` axes: alpha_z^2 (beta, beta, 1)."""
+    beta = beta_from_ratio(alpha_r, axial_ratio)
+    return axial_ratio**2 * np.array([beta, beta, 1.0])[:dim]
+
+
 def effective_potential(positions, alpha_r, axial_ratio) -> float:
     """Corotating-frame effective potential at fixed rotation alpha_r.
 
-    V = sum_k (alpha_z^2 / 2) (z_k^2 + beta r_k^2) + sum_{k<j} 1/d_kj.
+    V = sum_k (alpha_z^2 / 2) (z_k^2 + beta r_k^2) + sum_{k<j} 1/d_kj, for
+    positions of shape (N, 3) or in-plane positions of shape (N, 2).
     """
     positions = np.asarray(positions, dtype=float)
     beta = beta_from_ratio(alpha_r, axial_ratio)
     r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-    trap = 0.5 * axial_ratio**2 * float(np.sum(positions[:, 2] ** 2 + beta * r2))
+    z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
+    trap = 0.5 * axial_ratio**2 * float(np.sum(z2 + beta * r2))
     return trap + coulomb_energy(positions)
 
 
 def effective_potential_gradient(positions, alpha_r, axial_ratio):
-    """Analytic gradient of the effective potential, shape (N, 3)."""
+    """Analytic gradient of the effective potential, shape (N, d) for (N, d) positions."""
     positions = np.asarray(positions, dtype=float)
-    beta = beta_from_ratio(alpha_r, axial_ratio)
-    grad = np.empty_like(positions)
-    grad[:, 0] = axial_ratio**2 * beta * positions[:, 0]
-    grad[:, 1] = axial_ratio**2 * beta * positions[:, 1]
-    grad[:, 2] = axial_ratio**2 * positions[:, 2]
+    grad = positions * _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
     inv3 = _pair_distances(positions) ** -3
     # sum_j (r_k - r_j) / d_kj^3
     grad -= inv3.sum(axis=1)[:, None] * positions - inv3 @ positions
     return grad
 
 
-def coulomb_block_tensor(positions):
-    """Pairwise Coulomb curvature tensor, shape (N, N, 3, 3).
-
-    Entry [k, j] with k != j is the mixed second derivative block
-    d^2 V_C / d r_k d r_j; the diagonal blocks hold the second derivative
-    with respect to r_k alone.
-    """
+def effective_potential_hessian(positions, alpha_r, axial_ratio):
+    """Analytic Hessian of the effective potential, shape (dN, dN) for (N, d)
+    positions, ordered ion by ion.  Each component pair (a, b) is one (N, N)
+    block: the Coulomb dipole tensor delta_ab / d^3 - 3 r_a r_b / d^5 off the
+    diagonal, and the trap curvature minus the row sum on it."""
     positions = np.asarray(positions, dtype=float)
-    n = len(positions)
+    n, dim = positions.shape
+    curvature = _trap_curvature(alpha_r, axial_ratio, dim)
     diff = positions[:, None, :] - positions[None, :, :]
     dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
     np.fill_diagonal(dist, np.inf)
-    inv3 = dist**-3
-    inv5 = dist**-5
-    outer = np.einsum("ijk,ijl->ijkl", diff, diff)
-    eye = np.eye(3)
-    offdiag = eye[None, None, :, :] * inv3[:, :, None, None] - 3.0 * outer * inv5[:, :, None, None]
-    idx = np.arange(n)
-    offdiag[idx, idx] = -offdiag.sum(axis=1)  # the diagonal blocks were 0
-    return offdiag
-
-
-def effective_potential_hessian(positions, alpha_r, axial_ratio):
-    """Analytic Hessian of the effective potential, shape (3N, 3N)."""
-    positions = np.asarray(positions, dtype=float)
-    n = len(positions)
-    beta = beta_from_ratio(alpha_r, axial_ratio)
-    blocks = coulomb_block_tensor(positions)
-    trap = np.diag([axial_ratio**2 * beta, axial_ratio**2 * beta, axial_ratio**2])
-    idx = np.arange(n)
-    blocks[idx, idx] += trap[None, :, :]
-    return blocks.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+    inv3, inv5 = dist**-3, dist**-5
+    hess = np.empty((n, dim, n, dim))
+    for a in range(dim):
+        for b in range(a, dim):
+            block = (inv3 if a == b else 0.0) - 3.0 * (diff[..., a] * diff[..., b]) * inv5
+            # the blocks are symmetric, so the column sums are the row sums
+            np.fill_diagonal(block, (curvature[a] if a == b else 0.0) - block.sum(axis=0))
+            hess[:, a, :, b] = block
+            hess[:, b, :, a] = block
+    return hess.reshape(dim * n, dim * n)
 
 
 def total_angular_momentum(positions, alpha_r) -> float:
@@ -208,11 +207,13 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
     Minimizing this over positions is equivalent to the pair
     (minimize effective potential at alpha_r, match P_theta); the rotational
     kinetic term P^2 / (2 I) carries the angular-momentum constraint.
+    Positions of shape (N, 3), or in-plane ones of shape (N, 2).
     """
     positions = np.asarray(positions, dtype=float)
     r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
+    z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
     kappa = (1.0 - 2.0 * axial_ratio**2) / 8.0
-    trap = float(np.sum(0.5 * axial_ratio**2 * positions[:, 2] ** 2 + kappa * r2))
+    trap = float(np.sum(0.5 * axial_ratio**2 * z2 + kappa * r2))
     inertia = float(np.sum(r2))
     if p_theta == 0.0:
         rot = 0.0
@@ -224,7 +225,7 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
 
 
 def reduced_energy_gradient(positions, p_theta, axial_ratio):
-    """Analytic gradient of ``reduced_energy``, shape (N, 3).
+    """Analytic gradient of ``reduced_energy``, shape (N, d) for (N, d) positions.
 
     At the alpha_r whose rigid rotor carries P_theta, alpha_z^2 beta =
     2 kappa - P^2 / I^2, so this is the effective-potential gradient there.
@@ -304,22 +305,28 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     Each of the ``schedule.cycles`` starts is a planar hexagonal seed at the
     virial spacing for this P_theta, with a Gaussian jitter of a tenth of
     that spacing (``_SEED_JITTER``) on every coordinate, drawn from
-    ``schedule.seed``.  Each start runs L-BFGS-B with the analytic gradient
-    for at most ``schedule.steps_per_cycle`` iterations at scipy's default
+    ``schedule.seed``.  A seed whose virial anisotropy is planar-class
+    (beta < beta_c(N)) is searched in its 2N in-plane coordinates: the
+    jitter's z column is drawn and dropped, so the in-plane draws are those
+    of a 3N search.  Each start runs L-BFGS-B with the analytic gradient for
+    at most ``schedule.steps_per_cycle`` iterations at scipy's default
     tolerances, since Newton refinement finishes the job.  Those stop short
     of the basin minimum by more than the gaps between basins once N is
     about 60 or more, so the candidates' own energies do not rank their
     basins; ``find_equilibrium`` ranks them after refinement.  Returns one
-    candidate per start, in start order.  Deterministic for a fixed
-    schedule seed.
+    candidate per start, in start order.  Deterministic for a fixed schedule
+    seed.
     """
     from scipy.optimize import minimize
 
     alpha_z = setup.axial_ratio
     n = setup.ion_count
+    lattice, spacing = _seed_positions(setup, p_theta)
+    planar = stability_class(_implied_anisotropy(lattice, alpha_z), n) is StabilityClass.PLANAR_2D
+    dim = 2 if planar else 3
 
     def objective(flat):
-        pos = flat.reshape(n, 3)
+        pos = flat.reshape(n, dim)
         grad = reduced_energy_gradient(pos, p_theta, alpha_z)
         return reduced_energy(pos, p_theta, alpha_z), grad.reshape(-1)
 
@@ -327,13 +334,12 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
         if schedule.steps_per_cycle:
             result = minimize(objective, start.reshape(-1), jac=True, method="L-BFGS-B",
                               options={"maxiter": schedule.steps_per_cycle})
-            start = result.x.reshape(n, 3)
+            start = result.x.reshape(n, dim)
         return CrystalState.at(start, rotation_frequency_from_ptheta(start, p_theta), alpha_z)
 
-    lattice, spacing = _seed_positions(setup, p_theta)
     rng = np.random.default_rng(schedule.seed)
-    return [search(lattice + _SEED_JITTER * spacing * rng.standard_normal((n, 3)))
-            for _ in range(schedule.cycles)]
+    jitters = (_SEED_JITTER * spacing * rng.standard_normal((n, 3)) for _ in range(schedule.cycles))
+    return [search(lattice[:, :dim] + jitter[:, :dim]) for jitter in jitters]
 
 
 def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
@@ -343,37 +349,39 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
     a Levenberg shift when the Hessian is not positive definite; the shift
     carries over to the next iteration, a tenth smaller).  The global-rotation
     null direction t is removed with the rank-one projector 1 - t t^T.
-    Converged means the full 3N gradient norm dropped below ``grad_tol``.  A
-    planar-class crystal (beta < beta_c) that converges with small nonzero z
-    is snapped to z = 0, and the loop continues there with the energy
-    recomputed and the shift reset, within the same budget of
-    ``_NEWTON_STEPS`` steps.  The snap fires at most once: at z = 0 the
-    z-gradient and the xz/yz Hessian entries are exact zeros, so every later
-    step keeps z exactly 0.
+    Converged means the gradient norm dropped below ``grad_tol`` within
+    ``_NEWTON_STEPS`` steps.  A planar-class crystal (beta < beta_c(N)) is
+    refined in its 2N in-plane coordinates and returned with z exactly 0; a
+    start off the plane (a warm start from a 3D crystal, whose ions may
+    overlap in projection) first converges in all 3N.  A converged planar
+    crystal must be a minimum along z as well: one Cholesky of the N x N
+    axial Hessian block, which decouples at z = 0, or a ValueError.
     """
     from scipy.linalg import cho_solve
 
     alpha_r = candidate.rotation_frequency
     alpha_z = candidate.axial_ratio
-    pos = candidate.positions.copy()
-    n = len(pos)
+    n = candidate.n_ions
     planar = stability_class(beta_from_ratio(alpha_r, alpha_z), n) is StabilityClass.PLANAR_2D
+    pos = candidate.positions.copy()
+    if planar and not np.any(pos[:, 2]):
+        pos = pos[:, :2].copy()
     energy = effective_potential(pos, alpha_r, alpha_z)
     shift = 0.0
     iterations = 0
     while True:
         gflat = effective_potential_gradient(pos, alpha_r, alpha_z).reshape(-1)
         converged = float(np.linalg.norm(gflat)) < grad_tol
-        if converged and planar and 0.0 < np.abs(pos[:, 2]).max() < 1e-4:
-            pos[:, 2] = 0.0
+        if converged and planar and pos.shape[1] == 3:
+            # a start off the plane has relaxed onto it: finish in the plane
+            pos = pos[:, :2].copy()
             energy = effective_potential(pos, alpha_r, alpha_z)
-            shift = 0.0
             continue
         if converged or iterations == _NEWTON_STEPS:
             break
         hess = effective_potential_hessian(pos, alpha_r, alpha_z)
         scale = float(np.abs(np.diag(hess)).max()) or 1.0
-        axis = np.column_stack([-pos[:, 1], pos[:, 0], np.zeros(n)]).ravel()
+        axis = np.stack([-pos[:, 1], pos[:, 0], np.zeros(n)][:pos.shape[1]], axis=1).ravel()
         if axis @ axis > 0.0:
             # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
             axis = axis / np.linalg.norm(axis)
@@ -389,7 +397,7 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
                 shift = max(2.0 * shift, 1e-12 * scale) * 10.0
         else:
             break
-        step = cho_solve((chol, True), -gflat).reshape(n, 3)
+        step = cho_solve((chol, True), -gflat).reshape(pos.shape)
         shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
         slope = float(gflat @ step.reshape(-1))
         t = 1.0
@@ -407,6 +415,17 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
         pos, energy = trial, etrial
         iterations += 1
 
+    if planar and converged:
+        # the axial block at z = 0: 1/d_kj^3 off the diagonal, alpha_z^2 - sum_j 1/d_kj^3 on it
+        axial = _pair_distances(pos) ** -3
+        np.fill_diagonal(axial, alpha_z**2 - axial.sum(axis=1))
+        try:
+            np.linalg.cholesky(axial)
+        except np.linalg.LinAlgError:
+            raise ValueError(
+                f"equilibrium: the planar crystal is a saddle along z: beta = "
+                f"{beta_from_ratio(alpha_r, alpha_z):.6g}, beta_c = {beta_critical(n):.6g} at "
+                f"N = {n}, lowest axial eigenvalue {np.linalg.eigvalsh(axial)[0]:.3e}") from None
     # refinement runs at fixed alpha_r; the state's P_theta follows the positions
     return CrystalState.at(pos, alpha_r, alpha_z, converged, iterations)
 
@@ -423,8 +442,10 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = Annea
     The refinement is Newton at fixed rotation frequency inside a scalar
     root-find for the rotation frequency whose refined configuration carries
     the requested P_theta; its inner minimizations are warm-started with the
-    exact planar scaling positions ~ beta^(-1/3), and each snaps a planar
-    crystal to z = 0 inside its Newton loop.
+    exact planar scaling positions ~ beta^(-1/3).  Planar-class crystals are
+    searched and refined in their 2N in-plane coordinates and come back with
+    z exactly 0; a candidate that converges in the plane on a saddle along z
+    is one whose refinement fails.
     """
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0

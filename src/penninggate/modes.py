@@ -8,7 +8,7 @@ dimensionless: positions in l_s, momenta in p_s, frequencies in omega_c.
 
 The decomposition first splits the regularized Hessian into the (q, p)
 blocks that no entry couples.  A planar crystal (every z exactly 0, as the
-Newton refinement leaves it) has no in-plane/axial curvature, so it splits
+in-plane refinement leaves it) has no in-plane/axial curvature, so it splits
 into a 4N in-plane and a 2N axial block; a 3D crystal, where some pair of
 ions differs in z, stays one 6N block.  Each block is factored H = L L^T
 (Cholesky), the canonical pairs come from the real skew-tridiagonal

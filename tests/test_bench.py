@@ -61,6 +61,34 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n_ions = 3.5", r"bad\.cfg:3: key 'n_ions': invalid literal for int\(\)"),
+    ("alpha_z = fast", r"bad\.cfg:3: key 'alpha_z': could not convert"),
+    ("temperatures_k = 1e-3,warm", r"bad\.cfg:3: key 'temperatures_k': could not convert"),
+    ("tune_carrier = ture", r"bad\.cfg:3: key 'tune_carrier': expected true/false, 1/0, yes/no "
+                            r"or on/off, got 'ture'"),
+], ids=["int", "float", "tuple", "bool"])
+def test_config_value_errors_name_file_line_and_key(tmp_path, line, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"species = Be+\n# a comment\n{line}\n")
+    with pytest.raises(ValueError, match=message):
+        parse_config(path)
+
+
+def test_config_bool_accepts_exactly_the_four_spellings_in_any_case(tmp_path):
+    head = "species = Be+\nnu_c_hz = 7.608e6\nalpha_z = 0.02\nn_ions = 6\ntau_ratio = 0.006\n"
+    path = tmp_path / "run.cfg"
+    for value, expected in [("true", True), ("TRUE", True), ("1", True), ("Yes", True),
+                            ("on", True), ("false", False), ("False", False), ("0", False),
+                            ("NO", False), ("Off", False)]:
+        path.write_text(head + f"tune_carrier = {value}\n")
+        assert parse_config(path).tune_carrier is expected
+    for value in ("ture", "2", "", "y", "enabled"):
+        path.write_text(head + f"tune_carrier = {value}\n")
+        with pytest.raises(ValueError, match=r"run\.cfg:6: key 'tune_carrier'"):
+            parse_config(path)
+
+
 def test_config_temperature_grid_validation(tmp_path):
     with pytest.raises(ValueError, match="temperature grid"):
         small_config(tmp_path, temperatures_k=(1e-3, 1e-4))
@@ -181,6 +209,20 @@ def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
     rows = [line.split(",") for line in sweep(config, "p_theta", [2000.0, 2e4]).splitlines()[1:]]
     assert [row[-1] for row in rows] == ["ok", "ok"]
     assert float(rows[0][2]) > beta_critical(8) > float(rows[1][2])
+
+
+def test_p_theta_sweep_from_a_three_dimensional_point_is_pinned(tmp_path):
+    # the 3D point is refined in 3N coordinates; the two planar points start
+    # from its crystal off the plane, whose axial ions overlap in projection
+    config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3, anneal_cycles=None,
+                          anneal_steps=None)
+    rows = [[float(v) for v in line.split(",")[:4]]
+            for line in sweep(config, "p_theta", [2000.0, 2e4, 6e4]).splitlines()[1:]]
+    assert rows == [pytest.approx(row, rel=1e-13) for row in [
+        [2000, 0.00039239771439980586, 0.48060934608384909, 1.3298500032626943],
+        [20000, 0.00020774684301161361, 0.019259210652080805, 0.46241318540498411],
+        [60000, 0.0002015232140256118, 0.0037065060495514723, 0.26697603930507025],
+    ]]
 
 
 def test_manifest_names_the_package_version(tmp_path):

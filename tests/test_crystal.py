@@ -26,6 +26,7 @@ from penninggate.crystal import (
     _seed_positions,
     effective_potential,
     effective_potential_gradient,
+    effective_potential_hessian,
     hex_lattice,
     reduced_energy,
     reduced_energy_gradient,
@@ -129,15 +130,17 @@ def test_anneal_two_ions_near_oracle(small_pair_setup):
 
 def test_anneal_zero_steps_returns_seed(small_pair_setup):
     # zero L-BFGS steps: every candidate is its virial-lattice start, jittered
-    # by a tenth of the lattice spacing
+    # by a tenth of the lattice spacing; the pair's seed is planar-class, so
+    # the jitter's z column is drawn and dropped
     schedule = AnnealSchedule(cycles=2, steps_per_cycle=0, seed=9)
     lattice, spacing = _seed_positions(small_pair_setup, 0.0)
     rng = np.random.default_rng(9)
     candidates = anneal(small_pair_setup, 0.0, schedule)
     assert len(candidates) == 2
     for cand in candidates:
-        np.testing.assert_array_equal(cand.positions,
-                                      lattice + 0.1 * spacing * rng.standard_normal((2, 3)))
+        expected = lattice + 0.1 * spacing * rng.standard_normal((2, 3))
+        expected[:, 2] = 0.0
+        np.testing.assert_array_equal(cand.positions, expected)
 
 
 def test_anneal_deterministic_for_fixed_seed(small_pair_setup):
@@ -193,30 +196,41 @@ def test_newton_refine_snaps_a_planar_crystal_to_the_plane(eq_high):
     assert np.all(refined.positions[:, 2] == 0.0)
 
 
-def test_planar_snap_continues_the_same_loop_in_the_plane(small_pair_setup, monkeypatch):
-    # two ions 1e-6 apart in the plane and 3e-6 along z: at this coarse
-    # tolerance Newton converges with z still nonzero and a Levenberg shift
-    # in hand, and zeroing z raises the in-plane gradient above the tolerance
-    alpha_z, tol = small_pair_setup.axial_ratio, 1e9
-    start = np.array([[5e-7, 0.0, 1.5e-6], [-5e-7, 0.0, -1.5e-6]])
-    refined = newton_refine(CrystalState.at(start, 0.5, alpha_z), grad_tol=tol)
-
+def test_planar_pair_refines_in_the_plane(small_pair_setup, monkeypatch):
     from penninggate import crystal
 
-    monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.CONFINED_3D)
-    before = newton_refine(CrystalState.at(start, 0.5, alpha_z), grad_tol=tol)
-    monkeypatch.undo()
-    assert before.converged and 0.0 < np.abs(before.positions[:, 2]).max() < 1e-4
-    snapped = before.positions.copy()
-    snapped[:, 2] = 0.0
-    after = newton_refine(CrystalState.at(snapped, 0.5, alpha_z), grad_tol=tol)
-    assert after.refine_iterations > 0
-    # energy recomputed and shift reset to 0; the post-snap steps stay in the
-    # plane, so the snap cannot fire twice
+    shapes = []
+    original = crystal.effective_potential_hessian
+
+    def recorded(positions, alpha_r, axial_ratio):
+        shapes.append(np.shape(positions))
+        return original(positions, alpha_r, axial_ratio)
+
+    monkeypatch.setattr(crystal, "effective_potential_hessian", recorded)
+    refined = newton_refine(_pair_candidate(small_pair_setup, 7.0), grad_tol=1e-13)
     assert refined.converged
-    np.testing.assert_array_equal(refined.positions, after.positions)
+    assert refined.refine_iterations == len(shapes) > 0
+    assert set(shapes) == {(2, 2)}
+    assert refined.positions.shape == (2, 3)
     assert np.all(refined.positions[:, 2] == 0.0)
-    assert refined.refine_iterations == before.refine_iterations + after.refine_iterations
+
+
+def test_planar_class_forced_on_a_3d_point_fails_the_axial_check(beryllium, monkeypatch):
+    # N = 8 at P_theta = 2000 equilibrates at beta = 0.48 > beta_c(8) = 0.235:
+    # forced into the plane, the search and refinement converge on a saddle
+    # along z, which the axial-block Cholesky rejects
+    from penninggate import crystal
+
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
+    monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.PLANAR_2D)
+    candidate = anneal(setup, 2000.0, AnnealSchedule(cycles=1, seed=3))[0]
+    assert np.all(candidate.positions[:, 2] == 0.0)
+    with pytest.raises(ValueError, match=r"^equilibrium: the planar crystal is a saddle along z: "
+                                         r"beta = [0-9.e-]+, beta_c = 0\.235113 at N = 8, "
+                                         r"lowest axial eigenvalue -\d"):
+        newton_refine(candidate)
+    with pytest.raises(RuntimeError, match="no search candidate could be refined .*saddle along z"):
+        find_equilibrium(setup, 2000.0, AnnealSchedule(seed=3))
 
 
 def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
@@ -351,6 +365,44 @@ def test_negative_angular_momentum_mirror(setup_low, eq_low_p0):
     minus = find_equilibrium(setup_low, -1000.0, initial_positions=eq_low_p0.positions)
     assert minus.rotation_frequency == pytest.approx(1.0 - plus.rotation_frequency, abs=1e-12)
     assert minus.angular_momentum == pytest.approx(-plus.angular_momentum, rel=1e-12)
+
+
+def test_in_plane_kernels_are_the_plane_slices_at_z_zero():
+    rng = np.random.default_rng(4)
+    space = np.zeros((30, 3))
+    space[:, :2] = 20.0 * hex_lattice(30) + rng.standard_normal((30, 2))
+    plane = space[:, :2].copy()
+    args = (2.2e-4, 0.02)
+    assert effective_potential(plane, *args) == effective_potential(space, *args)
+    assert reduced_energy(plane, 1.3e5, 0.02) == reduced_energy(space, 1.3e5, 0.02)
+    np.testing.assert_allclose(effective_potential_gradient(plane, *args),
+                               effective_potential_gradient(space, *args)[:, :2],
+                               rtol=1e-13, atol=1e-16)
+    np.testing.assert_allclose(reduced_energy_gradient(plane, 1.3e5, 0.02),
+                               reduced_energy_gradient(space, 1.3e5, 0.02)[:, :2],
+                               rtol=1e-13, atol=1e-16)
+    inplane = np.flatnonzero(np.arange(90) % 3 != 2)
+    np.testing.assert_array_equal(effective_potential_hessian(plane, *args),
+                                  effective_potential_hessian(space, *args)[np.ix_(inplane, inplane)])
+
+
+def test_in_plane_gradient_and_hessian_match_central_differences():
+    rng = np.random.default_rng(8)
+    plane = 20.0 * hex_lattice(30) + 2.0 * rng.standard_normal((30, 2))
+    args, h = (2.2e-4, 0.02), 1e-3
+    grad = effective_potential_gradient(plane, *args)
+    hess = effective_potential_hessian(plane, *args)
+    fd_grad = np.zeros_like(plane)
+    fd_hess = np.zeros_like(hess)
+    for i, idx in enumerate(np.ndindex(*plane.shape)):
+        up, down = plane.copy(), plane.copy()
+        up[idx] += h
+        down[idx] -= h
+        fd_grad[idx] = (effective_potential(up, *args) - effective_potential(down, *args)) / (2 * h)
+        fd_hess[:, i] = (effective_potential_gradient(up, *args)
+                         - effective_potential_gradient(down, *args)).ravel() / (2 * h)
+    assert np.linalg.norm(fd_grad - grad) <= 1e-6 * np.linalg.norm(grad)
+    assert np.linalg.norm(fd_hess - hess) <= 1e-6 * np.linalg.norm(hess)
 
 
 def test_reduced_energy_gradient_matches_central_differences():
