@@ -1,11 +1,11 @@
 """Experiment orchestration and persistence.
 
-One set of stage functions -- equilibrium, modes (Hessian, symplectic
-modes, band gaps), carrier choice, and gate (amplitude calibration, thermal
+One set of stage functions -- equilibrium, modes (Hessian, symplectic modes,
+band gaps) and gate (pair, gate time, carrier, amplitude calibration, thermal
 fidelity) -- serves the CLI verbs, ``run_experiment`` and ``sweep``.  A run
-writes the artifacts of the stages it reaches (equilibrium file, spectrum
-CSV, fidelity CSV, phase report) and a manifest.  Runs are deterministic for
-a fixed seed, independent of how many worker threads execute a sweep.
+writes the artifacts of the stages it reaches (equilibrium file, spectrum CSV,
+fidelity CSV, phase report) and a manifest.  Runs are deterministic for a fixed
+seed, independent of how many worker threads execute a sweep.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -54,7 +55,6 @@ class ExperimentConfig:
     tau_ratio: float | None = None   # gate time tau_g / tau_r
     temperatures_k: tuple = tuple(np.geomspace(1e-4, 1e-2, 20))
     sigma_fraction: float | None = None
-    carrier_cycles: float = 9.0
     tune_carrier: bool = False
     anneal_cycles: int | None = None   # search starts
     anneal_steps: int | None = None    # L-BFGS iteration cap per start
@@ -69,9 +69,14 @@ class ExperimentConfig:
             raise ValueError("temperature grid must be strictly increasing and positive")
         if self.tau_ratio is None:
             raise ValueError("tau_ratio must be set")
+        _pair_indices(self.pair_rule, self.n_ions)
+        self.setup()
 
     def setup(self) -> TrapSetup:
-        record = get_species(self.species)
+        try:
+            record = get_species(self.species)
+        except KeyError as exc:
+            raise ValueError(exc.args[0]) from None
         return TrapSetup(
             species=record.species,
             cyclotron_frequency=2.0 * math.pi * self.nu_c_hz,
@@ -128,7 +133,10 @@ def parse_config(path) -> ExperimentConfig:
                if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
-    return ExperimentConfig(**values)
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_lines(config: ExperimentConfig):
@@ -160,15 +168,17 @@ def save_state(state: CrystalState, path):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+_HEADER_PARSERS = {"N": int, "alpha_z": float, "P_theta": float,
+                   "omega_r_over_omega_c": float, "energy": float}
+
+
 def load_state(path) -> CrystalState:
     """Read an equilibrium file back, checking that the recorded energy and
     P_theta are those of the positions; converged means a gradient norm
     below 1e-10."""
     text = Path(path).read_text().splitlines()
-    header = {"N": None, "alpha_z": None, "P_theta": None,
-              "omega_r_over_omega_c": None, "energy": None}
+    header = {}
     rows = []
-    n_expected = None
     for lineno, raw in enumerate(text, start=1):
         line = raw.strip()
         if not line:
@@ -176,9 +186,12 @@ def load_state(path) -> CrystalState:
         if "=" in line:
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in header:
+            if key not in _HEADER_PARSERS:
                 raise ValueError(f"{path}:{lineno}: unexpected header {key!r}")
-            header[key] = val.strip()
+            try:
+                header[key] = _HEADER_PARSERS[key](val.strip())
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: header {key!r}: {exc}") from None
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -187,21 +200,20 @@ def load_state(path) -> CrystalState:
             rows.append([float(p) for p in parts])
         except ValueError:
             raise ValueError(f"{path}:{lineno}: malformed coordinate") from None
-    missing = [k for k, v in header.items() if v is None]
+    missing = [k for k in _HEADER_PARSERS if k not in header]
     if missing:
         raise ValueError(f"{path}: missing header line(s): {', '.join(missing)}")
-    n_expected = int(header["N"])
-    if len(rows) != n_expected:
+    if len(rows) != header["N"]:
         raise ValueError(
-            f"{path}:{len(text)}: expected {n_expected} position rows, found {len(rows)}"
+            f"{path}:{len(text)}: expected {header['N']} position rows, found {len(rows)}"
         )
-    state = CrystalState.at(np.array(rows, dtype=float), float(header["omega_r_over_omega_c"]),
-                            float(header["alpha_z"]))
-    energy = float(header["energy"])
+    state = CrystalState.at(np.array(rows, dtype=float), header["omega_r_over_omega_c"],
+                            header["alpha_z"])
+    energy = header["energy"]
     if abs(state.energy - energy) > 1e-12 * max(abs(energy), 1.0):
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     # the header's P_theta is kept, so validate() checks it against the positions
-    state = replace(state, angular_momentum=float(header["P_theta"]), energy=energy,
+    state = replace(state, angular_momentum=header["P_theta"], energy=energy,
                     converged=state.gradient_norm < _GRAD_TOL)
     try:
         state.validate()
@@ -220,14 +232,25 @@ def _require_planar(state: CrystalState) -> CrystalState:
     return state
 
 
+def _pair_indices(rule, n_ions):
+    """The two ions of an ``indices:i,j`` pair rule, or None for ``innermost``;
+    any other rule, or not two distinct ions of ``n_ions``, is an error."""
+    if rule == "innermost":
+        return None
+    match = re.fullmatch(r"indices:(\d+),(\d+)", rule)
+    pair = (int(match[1]), int(match[2])) if match else (0, 0)
+    if pair[0] == pair[1] or max(pair) >= n_ions:
+        raise ValueError(f"pair rule {rule!r} invalid for {n_ions} ions: expected "
+                         f"'innermost' or 'indices:i,j' with two distinct ions")
+    return pair
+
+
 def select_pair(state: CrystalState, rule="innermost"):
     """Driven ion pair: the innermost ion and its nearest neighbour, or
     explicit ``indices:i,j``."""
-    if rule.startswith("indices:"):
-        i, j = (int(tok) for tok in rule.split(":", 1)[1].split(","))
-        if not (0 <= i < state.n_ions and 0 <= j < state.n_ions) or i == j:
-            raise ValueError(f"pair rule {rule!r} invalid for {state.n_ions} ions")
-        return (i, j)
+    explicit = _pair_indices(rule, state.n_ions)
+    if explicit is not None:
+        return explicit
     if state.n_ions < 2:
         raise ValueError("no pair available: need at least two ions")
     radii = np.hypot(state.positions[:, 0], state.positions[:, 1])
@@ -324,12 +347,6 @@ def _modes(state: CrystalState, setup):
     return spectrum, classify_bands(spectrum, setup)
 
 
-def _gate_time(config: ExperimentConfig, state: CrystalState, setup):
-    """Rotation period tau_r and the configured gate time tau_g, in seconds."""
-    tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
-    return tau_r, config.tau_ratio * tau_r
-
-
 def _carrier(config: ExperimentConfig, setup, state, spectrum, bands, pair, tau_g):
     """Carrier angular frequency: the configured ``nu_hz``; otherwise the
     middle of the widest band gap or, with ``tune_carrier``, the one of 13
@@ -372,6 +389,18 @@ def _gate(config: ExperimentConfig, setup, state, spectrum, pair, nu, tau_g,
     )
 
 
+def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
+    """The gate of ``config``: the driven pair, the rotation period tau_r in
+    seconds, and the gate of time ``tau_ratio * tau_r`` on the carrier of
+    ``_carrier``, calibrated and evaluated at the configured temperatures."""
+    pair = select_pair(state, config.pair_rule)
+    tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
+    tau_g = config.tau_ratio * tau_r
+    nu = _carrier(config, setup, state, spectrum, bands, pair, tau_g)
+    return pair, tau_r, _gate(config, setup, state, spectrum, pair, nu, tau_g,
+                              config.temperatures_k)
+
+
 def _run_stages(config: ExperimentConfig, last):
     """Run the stages up to ``last`` ("equilibrium", "modes" or "gate"),
     writing each artifact into ``config.out_dir`` as its stage completes and
@@ -397,20 +426,17 @@ def _run_stages(config: ExperimentConfig, last):
                 _write_spectrum(out / "spectrum.csv", run.spectrum, run.bands, setup)
         if last == "gate":
             with _stage("gate"):
-                pair = select_pair(run.state, config.pair_rule)
-                tau_r, tau_g = _gate_time(config, run.state, setup)
-                nu = _carrier(config, setup, run.state, run.spectrum, run.bands, pair, tau_g)
-                run.gate = _gate(config, setup, run.state, run.spectrum, pair, nu, tau_g,
-                                 config.temperatures_k)
+                pair, tau_r, run.gate = _gate_stage(config, setup, run.state, run.spectrum,
+                                                    run.bands)
                 (out / "fidelity.csv").write_text(
                     _csv(_FIDELITY_COLUMNS, _fidelity_rows(run.gate.fidelity_curve)))
                 report = {
                     "theta": run.gate.theta,
                     "theta_by_state": run.gate.theta_by_state,
                     "amplitude": run.gate.amplitude,
-                    "nu_hz": nu / (2.0 * math.pi),
-                    "tau_g_s": tau_g,
-                    "tau_g_over_tau_r": tau_g / tau_r,
+                    "nu_hz": run.gate.carrier_frequency / (2.0 * math.pi),
+                    "tau_g_s": run.gate.gate_time,
+                    "tau_g_over_tau_r": run.gate.gate_time / tau_r,
                     "pair": list(pair),
                 }
                 (out / "phase.json").write_text(
@@ -507,34 +533,31 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
             state = _require_planar(_equilibrium(config, setup))
         with _stage("modes"):
             spectrum, bands = _modes(state, setup)
-        pair = select_pair(state, config.pair_rule)
-        tau_r, tau_g = _gate_time(config, state, setup)
 
-        def gate(nu, tau, temperatures):
-            return _gate(config, setup, state, spectrum, pair, nu, tau, temperatures)
+        def gate(**change):
+            return _gate_stage(replace(config, **change), setup, state, spectrum, bands)
 
-        if parameter == "T":
-            nu = _carrier(config, setup, state, spectrum, bands, pair, tau_g)
-            by_temp = {row[0]: (*row, _status(row[1]))
-                       for row in _fidelity_rows(gate(nu, tau_g, grid).fidelity_curve)}
+        if parameter == "T":  # the gate run's own gate, evaluated at the grid temperatures
+            pair, _, result = gate()
+            curve = _gate(config, setup, state, spectrum, pair, result.carrier_frequency,
+                          result.gate_time, grid).fidelity_curve
+            by_temp = {row[0]: (*row, _status(row[1])) for row in _fidelity_rows(curve)}
 
             def point(value):
                 return [by_temp[float(value)]]
         elif parameter == "nu":
-            coldest = [min(config.temperatures_k)]
 
             def point(value):
-                result = gate(2.0 * math.pi * float(value), tau_g, coldest)
+                _, _, result = gate(nu_hz=float(value))
                 temp, fid, _ = result.fidelity_curve[0]
                 return [(value, result.amplitude, temp, 1.0 - fid, _status(fid))]
-        else:  # tau_g sweep over tau_ratio values, carrier_cycles periods per gate
+        else:  # tau_g
 
             def point(value):
-                tau = float(value) * tau_r
-                nu = 2.0 * math.pi * config.carrier_cycles / tau
-                curve = gate(nu, tau, config.temperatures_k).fidelity_curve
-                return [(value, nu / (2.0 * math.pi), *row, _status(row[1]))
-                        for row in _fidelity_rows(curve)]
+                _, _, result = gate(tau_ratio=float(value))
+                nu_hz = result.carrier_frequency / (2.0 * math.pi)
+                return [(value, nu_hz, *row, _status(row[1]))
+                        for row in _fidelity_rows(result.fidelity_curve)]
 
     columns = _SWEEP_COLUMNS[parameter]
 

@@ -43,8 +43,8 @@ def small_config(tmp_path, **overrides):
 # trip passes through every value parser
 @pytest.mark.parametrize("overrides", [
     {},
-    dict(pair_rule="indices:0,1", nu_hz=3.878e6, sigma_fraction=0.125, carrier_cycles=12.0,
-         tune_carrier=True, temperatures_k=(2e-4, 5e-3), anneal_cycles=3, anneal_steps=50),
+    dict(pair_rule="indices:0,1", nu_hz=3.878e6, sigma_fraction=0.125, tune_carrier=True,
+         temperatures_k=(2e-4, 5e-3), anneal_cycles=3, anneal_steps=50),
 ], ids=["small", "every-field"])
 def test_config_round_trip(tmp_path, overrides):
     config = small_config(tmp_path, **overrides)
@@ -59,6 +59,30 @@ def test_config_rejects_unknown_key(tmp_path):
     path.write_text("species = Be+\nwibble = 3\n")
     with pytest.raises(ValueError, match="bad.cfg:2"):
         parse_config(path)
+
+
+def test_config_rejects_unknown_species_when_built(tmp_path, capsys):
+    from penninggate.cli import main
+
+    with pytest.raises(ValueError, match=r"unknown species 'Xx\+'; table has: .*Be\+"):
+        small_config(tmp_path, species="Xx+")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(config_lines(small_config(tmp_path))).replace("Be+", "Xx+") + "\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg: unknown species 'Xx\+'"):
+        parse_config(cfg)
+    assert main(["gate", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {cfg}: unknown species 'Xx+'")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("rule", ["outermost", "indices:0", "indices:1,1", "indices:0,6",
+                                  "index:0,1", "indices:a,b"])
+def test_config_rejects_a_pair_rule_it_cannot_drive(tmp_path, eq_high, rule):
+    with pytest.raises(ValueError, match=f"pair rule '{rule}' invalid for 6 ions"):
+        small_config(tmp_path, pair_rule=rule)
+    if rule != "indices:0,6":
+        with pytest.raises(ValueError, match=f"pair rule '{rule}' invalid for 30 ions"):
+            select_pair(eq_high, rule)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -121,6 +145,22 @@ def test_load_truncated_file_reports_line(eq_low_p4000, tmp_path):
     (tmp_path / "bad.txt").write_text("\n".join(garbled) + "\n")
     with pytest.raises(ValueError, match="bad.txt:8"):
         load_state(tmp_path / "bad.txt")
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("N", "2.5", r"invalid literal for int\(\)"),
+    ("energy", "low", "could not convert"),
+])
+def test_load_names_the_line_and_key_of_an_unreadable_header(eq_low_p4000, tmp_path, key,
+                                                             value, message):
+    path = tmp_path / "eq.txt"
+    save_state(eq_low_p4000, path)
+    lines = path.read_text().splitlines()
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[index] = f"{key} = {value}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"eq\.txt:{index + 1}: header '{key}': {message}"):
+        load_state(path)
 
 
 def test_load_rejects_inconsistent_ptheta_header(eq_low_p4000, tmp_path):
@@ -249,13 +289,29 @@ def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
     assert parse_config(artifacts.manifest_file) == small_config(tmp_path)
 
 
-def test_sweep_single_point_matches_run(tmp_path):
-    config = small_config(tmp_path)
+@pytest.mark.parametrize("parameter, overrides", [
+    ("T", {}),
+    ("nu", dict(nu_hz=3.878e6)),
+    ("tau_g", {}),
+    ("tau_g", dict(tune_carrier=True)),
+], ids=["T", "nu", "tau_g", "tau_g-tuned"])
+def test_sweep_single_point_matches_run(tmp_path, parameter, overrides):
+    # a one-point sweep at the run's own value is the run's gate stage, so its
+    # rows carry the run's fidelity.csv fields byte for byte
+    config = small_config(tmp_path, **overrides)
     artifacts = run_experiment(config)
-    text = sweep(config, "T", [config.temperatures_k[0]])
-    line = text.splitlines()[1].split(",")
-    assert float(line[0]) == config.temperatures_k[0]
-    assert float(line[1]) == artifacts.gate.fidelity_curve[0][1]
+    expected = [row.split(",") for row in artifacts.fidelity_file.read_text().splitlines()[1:]]
+    value = {"T": config.temperatures_k[0], "nu": config.nu_hz, "tau_g": config.tau_ratio}
+    text = sweep(config, parameter, [value[parameter]])
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    if parameter == "T":
+        assert rows == [expected[0] + ["ok"]]
+    elif parameter == "nu":
+        temp, _, infidelity, _ = expected[0]
+        assert rows == [["3878000", f"{artifacts.gate.amplitude:.17g}", temp, infidelity, "ok"]]
+    else:
+        nu_hz = f"{artifacts.gate.carrier_frequency / (2 * np.pi):.17g}"
+        assert rows == [[f"{config.tau_ratio:.17g}", nu_hz, *row, "ok"] for row in expected]
 
 
 def test_temperature_sweep_uses_the_tuned_carrier_of_the_gate_run(tmp_path):
@@ -336,33 +392,30 @@ def test_resolve_carrier_midgap(bands_high):
     assert lo < nu < hi
 
 
-def test_tau_ratio_sweep_monotone_curves_ordered_by_carrier(tmp_path, setup_low,
-                                                            eq_low_p4000):
-    # gate-time ratios at the slow-rotation point: each infidelity curve is
-    # monotone in T and the required carrier scales like 1/tau_g
+def test_tau_ratio_sweep_monotone_curves_on_one_carrier(tmp_path):
+    # gate-time ratios at the slow-rotation point: every row uses the gate's
+    # carrier rule, and each infidelity curve is monotone in T
     config = ExperimentConfig(
         species="Be+", nu_c_hz=76.08e3, alpha_z=0.7, n_ions=30, p_theta=4000.0,
         tau_ratio=0.1, temperatures_k=(1e-4, 1e-3, 1e-2), seed=7,
         out_dir=str(tmp_path),
     )
-    # the default 9 carrier cycles per gate leak enough of the envelope's
-    # spectrum onto the ExB modes that F underflows on every row; 18 cycles
-    # keep F > 0 on every row of the longer gates
-    for cycles, grid, status in ((9.0, [1e-1, 1e-2, 1e-3], "underflow"),
-                                 (18.0, [4e-1, 2e-1, 1e-1], "ok")):
-        text = sweep(replace(config, carrier_cycles=cycles), "tau_g", grid)
+    # the mid-gap carrier (32 kHz) makes fewer than one period in these gates,
+    # so F underflows on every row; a 5.9 MHz carrier keeps F > 0 on every row
+    # of the longer gates
+    for nu_hz, grid, status in (("auto-gap", [1e-1, 1e-2, 1e-3], "underflow"),
+                                (5.9e6, [4e-1, 2e-1, 1e-1], "ok")):
+        text = sweep(replace(config, nu_hz=nu_hz), "tau_g", grid)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert len(rows) == 9 and all(row[-1] == status for row in rows)
         assert all((float(row[3]) == 0.0) == (status == "underflow") for row in rows)
+        assert len({row[1] for row in rows}) == 1
+        if nu_hz != "auto-gap":
+            assert float(rows[0][1]) == nu_hz
         by_ratio = {}
         for row in rows:
             by_ratio.setdefault(float(row[0]), []).append((float(row[2]), float(row[4])))
-        assert sorted(by_ratio) == sorted(grid)
-        carriers = {ratio: float(next(r[1] for r in rows if float(r[0]) == ratio))
-                    for ratio in by_ratio}
-        for ratio in grid[1:]:
-            assert carriers[ratio] == pytest.approx(grid[0] / ratio * carriers[grid[0]],
-                                                    rel=1e-9)
+        assert list(by_ratio) == grid
         for ratio, curve in by_ratio.items():
             curve.sort()
             infidelities = [i for _, i in curve]
