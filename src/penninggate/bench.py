@@ -113,8 +113,9 @@ _CONFIG_PARSERS = {f.name: _VALUE_PARSERS[f.type] for f in fields(ExperimentConf
 
 
 def parse_config(path) -> ExperimentConfig:
-    """Read the simple ``key = value`` config format (# starts a comment)."""
-    values = {}
+    """Read the simple ``key = value`` config format (# starts a comment);
+    a key may appear once."""
+    values, seen = {}, {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -125,6 +126,9 @@ def parse_config(path) -> ExperimentConfig:
         key, val = key.strip(), val.strip()
         if key not in _CONFIG_PARSERS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _CONFIG_PARSERS[key](val)
         except ValueError as exc:
@@ -347,58 +351,42 @@ def _modes(state: CrystalState, setup):
     return spectrum, classify_bands(spectrum, setup)
 
 
-def _carrier(config: ExperimentConfig, setup, state, spectrum, bands, pair, tau_g):
-    """Carrier angular frequency: the configured ``nu_hz``; otherwise the
-    middle of the widest band gap or, with ``tune_carrier``, the one of 13
-    carriers across the inner 60 % of that gap with the lowest infidelity at
-    the lowest configured temperature."""
-    if config.nu_hz != "auto-gap":
-        return 2.0 * math.pi * float(config.nu_hz)
-    omega_c = setup.cyclotron_frequency
-    if not config.tune_carrier:
-        return resolve_carrier(bands) * omega_c
-    lo, hi = _widest_gap(bands)
-    span = hi - lo
-    coldest = [min(config.temperatures_k)]
-
-    def infidelity(nu_tilde):
-        trial = _gate(config, setup, state, spectrum, pair, nu_tilde * omega_c, tau_g, coldest)
-        return 1.0 - trial.fidelity_curve[0][1]
-
-    return tune_carrier(np.linspace(lo + 0.2 * span, hi - 0.2 * span, 13), infidelity) * omega_c
-
-
-def _gate(config: ExperimentConfig, setup, state, spectrum, pair, nu, tau_g,
-          temperatures) -> GateResult:
-    """Amplitude calibrated to |theta| = pi, then the thermal fidelity at each
-    temperature."""
-    width = None if config.sigma_fraction is None else config.sigma_fraction * tau_g
-    gspec = GateSpec(target_pair=pair, carrier_frequency=nu, gate_time=tau_g,
-                     envelope_width=width)
-    amplitude, phase = calibrated_phase(gspec, spectrum, state, setup)
-    if abs(abs(phase.theta) - math.pi) > 1e-6:
-        raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
-    return GateResult(
-        amplitude=amplitude,
-        theta=phase.theta,
-        theta_by_state=phase.by_state,
-        fidelity_curve=fidelity_curve(gspec, spectrum, state, setup, temperatures,
-                                      amplitude=amplitude),
-        carrier_frequency=nu,
-        gate_time=tau_g,
-    )
-
-
 def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
     """The gate of ``config``: the driven pair, the rotation period tau_r in
-    seconds, and the gate of time ``tau_ratio * tau_r`` on the carrier of
-    ``_carrier``, calibrated and evaluated at the configured temperatures."""
+    seconds, and the pulse of time ``tau_ratio * tau_r`` with its amplitude
+    calibrated to |theta| = pi, evaluated at the configured temperatures.
+
+    The carrier is the configured ``nu_hz``; otherwise the middle of the
+    widest band gap or, with ``tune_carrier``, the one of 13 carriers across
+    the inner 60 % of that gap whose gate has the lowest infidelity at the
+    lowest configured temperature.  Each candidate is calibrated once.
+    """
     pair = select_pair(state, config.pair_rule)
-    tau_r = 2.0 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
+    omega_c = setup.cyclotron_frequency
+    tau_r = 2.0 * math.pi / (state.rotation_frequency * omega_c)
     tau_g = config.tau_ratio * tau_r
-    nu = _carrier(config, setup, state, spectrum, bands, pair, tau_g)
-    return pair, tau_r, _gate(config, setup, state, spectrum, pair, nu, tau_g,
-                              config.temperatures_k)
+    width = None if config.sigma_fraction is None else config.sigma_fraction * tau_g
+
+    def gate(nu):
+        spec = GateSpec(target_pair=pair, carrier_frequency=nu, gate_time=tau_g,
+                        envelope_width=width)
+        amplitude, phase = calibrated_phase(spec, spectrum, state, setup)
+        if abs(abs(phase.theta) - math.pi) > 1e-6:
+            raise RuntimeError(f"calibration failed: |theta| = {abs(phase.theta)}")
+        spec = replace(spec, amplitude=amplitude)
+        return GateResult(spec, phase.theta, phase.by_state,
+                          fidelity_curve(spec, spectrum, state, setup, config.temperatures_k))
+
+    if config.nu_hz != "auto-gap":
+        candidates = [2.0 * math.pi * float(config.nu_hz)]
+    elif not config.tune_carrier:
+        candidates = [resolve_carrier(bands) * omega_c]
+    else:
+        lo, hi = _widest_gap(bands)
+        span = hi - lo
+        candidates = np.linspace(lo + 0.2 * span, hi - 0.2 * span, 13) * omega_c
+    gates = {nu: gate(nu) for nu in candidates}
+    return pair, tau_r, gates[tune_carrier(gates, lambda nu: 1.0 - gates[nu].fidelity_curve[0][1])]
 
 
 def _run_stages(config: ExperimentConfig, last):
@@ -433,10 +421,10 @@ def _run_stages(config: ExperimentConfig, last):
                 report = {
                     "theta": run.gate.theta,
                     "theta_by_state": run.gate.theta_by_state,
-                    "amplitude": run.gate.amplitude,
-                    "nu_hz": run.gate.carrier_frequency / (2.0 * math.pi),
-                    "tau_g_s": run.gate.gate_time,
-                    "tau_g_over_tau_r": run.gate.gate_time / tau_r,
+                    "amplitude": run.gate.spec.amplitude,
+                    "nu_hz": run.gate.spec.carrier_frequency / (2.0 * math.pi),
+                    "tau_g_s": run.gate.spec.gate_time,
+                    "tau_g_over_tau_r": run.gate.spec.gate_time / tau_r,
                     "pair": list(pair),
                 }
                 (out / "phase.json").write_text(
@@ -523,7 +511,8 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
 
     if parameter == "p_theta":
         # equilibrium quantities only: 3D points are valid rows here
-        base = find_equilibrium(setup, float(grid[0]), config.schedule())
+        with _stage("equilibrium"):
+            base = find_equilibrium(setup, float(grid[0]), config.schedule())
 
         def point(value):
             state = find_equilibrium(setup, float(value), initial_positions=base.positions)
@@ -537,10 +526,10 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
         def gate(**change):
             return _gate_stage(replace(config, **change), setup, state, spectrum, bands)
 
-        if parameter == "T":  # the gate run's own gate, evaluated at the grid temperatures
-            pair, _, result = gate()
-            curve = _gate(config, setup, state, spectrum, pair, result.carrier_frequency,
-                          result.gate_time, grid).fidelity_curve
+        if parameter == "T":  # the gate run's own pulse, evaluated at the grid temperatures
+            with _stage("gate"):
+                pulse = gate()[2].spec
+                curve = fidelity_curve(pulse, spectrum, state, setup, grid)
             by_temp = {row[0]: (*row, _status(row[1])) for row in _fidelity_rows(curve)}
 
             def point(value):
@@ -550,12 +539,12 @@ def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
             def point(value):
                 _, _, result = gate(nu_hz=float(value))
                 temp, fid, _ = result.fidelity_curve[0]
-                return [(value, result.amplitude, temp, 1.0 - fid, _status(fid))]
+                return [(value, result.spec.amplitude, temp, 1.0 - fid, _status(fid))]
         else:  # tau_g
 
             def point(value):
                 _, _, result = gate(tau_ratio=float(value))
-                nu_hz = result.carrier_frequency / (2.0 * math.pi)
+                nu_hz = result.spec.carrier_frequency / (2.0 * math.pi)
                 return [(value, nu_hz, *row, _status(row[1]))
                         for row in _fidelity_rows(result.fidelity_curve)]
 

@@ -57,8 +57,8 @@ def _cmd_gate(args):
     artifacts = run_experiment(config)
     worst = max(1.0 - f for _, f, _ in artifacts.gate.fidelity_curve)
     print(
-        f"gate: amplitude={artifacts.gate.amplitude:.4g} "
-        f"nu={artifacts.gate.carrier_frequency / (2 * math.pi):.4g} Hz "
+        f"gate: amplitude={artifacts.gate.spec.amplitude:.4g} "
+        f"nu={artifacts.gate.spec.carrier_frequency / (2 * math.pi):.4g} Hz "
         f"worst infidelity={worst:.3e}"
     )
     print(f"artifacts in {artifacts.out_dir}")

@@ -169,8 +169,7 @@ def effective_potential_hessian(positions, alpha_r, axial_ratio):
     n, dim = positions.shape
     curvature = _trap_curvature(alpha_r, axial_ratio, dim)
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    np.fill_diagonal(dist, np.inf)
+    dist = _pair_distances(positions)
     inv3, inv5 = dist**-3, dist**-5
     hess = np.empty((n, dim, n, dim))
     for a in range(dim):

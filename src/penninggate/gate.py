@@ -74,14 +74,13 @@ class GateSpec:
 
 @dataclass(frozen=True)
 class GateResult:
-    """Assembled outcome of a calibrated gate run."""
+    """Assembled outcome of a calibrated gate run: the pulse ``spec`` with its
+    calibrated amplitude, the phases it accumulates and its thermal fidelity."""
 
-    amplitude: float
+    spec: GateSpec
     theta: float
     theta_by_state: dict
     fidelity_curve: list             # rows (T_K, F, branch)
-    carrier_frequency: float
-    gate_time: float
 
 
 @dataclass(frozen=True)

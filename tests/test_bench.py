@@ -61,6 +61,14 @@ def test_config_rejects_unknown_key(tmp_path):
         parse_config(path)
 
 
+def test_config_rejects_a_repeated_key(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_text("species = Be+\nnu_c_hz = 7.608e6\nalpha_z = 0.02\nn_ions = 8\n"
+                    "n_ions = 9\ntau_ratio = 0.006\n")
+    with pytest.raises(ValueError, match=r"bad\.cfg:5: key 'n_ions' repeats line 4"):
+        parse_config(path)
+
+
 def test_config_rejects_unknown_species_when_built(tmp_path, capsys):
     from penninggate.cli import main
 
@@ -229,6 +237,44 @@ def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
     assert any(line.startswith("# blas_threads OPENBLAS_NUM_THREADS=") for line in manifest)
 
 
+@pytest.mark.parametrize("verb, tuned, expected", [
+    ("gate", False, 1), ("gate", True, 13), ("T", False, 1), ("T", True, 13),
+], ids=["gate", "gate-tuned", "T", "T-tuned"])
+def test_each_candidate_gate_is_calibrated_once(tmp_path, monkeypatch, verb, tuned, expected):
+    # a tuned run calibrates its 13 candidate carriers and keeps the winner's
+    # pulse; a T sweep evaluates that pulse instead of calibrating it again
+    from penninggate import bench
+
+    calls = []
+    original = bench.calibrated_phase
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "calibrated_phase", counted)
+    config = small_config(tmp_path, tune_carrier=tuned)
+    if verb == "gate":
+        run_experiment(config)
+    else:
+        sweep(config, "T", [config.temperatures_k[0]])
+    assert len(calls) == expected
+
+
+def test_gate_result_carries_the_calibrated_pulse(tmp_path):
+    from penninggate import build_hessian, williamson
+    from penninggate.gate import fidelity_curve, two_qubit_phase
+
+    config = small_config(tmp_path)
+    artifacts = run_experiment(config)
+    state, setup = artifacts.state, config.setup()
+    spectrum = williamson(build_hessian(state))
+    pulse = artifacts.gate.spec
+    assert abs(abs(two_qubit_phase(pulse, spectrum, state, setup).theta) - np.pi) < 1e-12
+    assert fidelity_curve(pulse, spectrum, state, setup,
+                          config.temperatures_k) == artifacts.gate.fidelity_curve
+
+
 def test_run_experiment_refuses_a_three_dimensional_crystal(tmp_path):
     # N = 8 at P_theta = 2000 equilibrates at beta = 0.48 > beta_c(8) = 0.235
     config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3)
@@ -308,9 +354,10 @@ def test_sweep_single_point_matches_run(tmp_path, parameter, overrides):
         assert rows == [expected[0] + ["ok"]]
     elif parameter == "nu":
         temp, _, infidelity, _ = expected[0]
-        assert rows == [["3878000", f"{artifacts.gate.amplitude:.17g}", temp, infidelity, "ok"]]
+        amplitude = f"{artifacts.gate.spec.amplitude:.17g}"
+        assert rows == [["3878000", amplitude, temp, infidelity, "ok"]]
     else:
-        nu_hz = f"{artifacts.gate.carrier_frequency / (2 * np.pi):.17g}"
+        nu_hz = f"{artifacts.gate.spec.carrier_frequency / (2 * np.pi):.17g}"
         assert rows == [[f"{config.tau_ratio:.17g}", nu_hz, *row, "ok"] for row in expected]
 
 
@@ -353,6 +400,23 @@ def test_sweep_records_per_point_failure(tmp_path):
     assert rows[0].endswith("error:ValueError")
     assert rows[1].endswith(",1,underflow")
     assert rows[2].endswith(",ok")
+
+
+def test_whole_sweep_failures_carry_their_stage(tmp_path, monkeypatch):
+    # the T branch's gate and the p_theta base crystal serve every grid point,
+    # so their failures abort the sweep under their stage label
+    from penninggate import bench
+
+    config = small_config(tmp_path)
+    with pytest.raises(StageError, match=r"^\[gate\] temperature must be positive"):
+        sweep(config, "T", [-1.0])
+
+    def failing(*args, **kwargs):
+        raise ValueError("no equilibrium")
+
+    monkeypatch.setattr(bench, "find_equilibrium", failing)
+    with pytest.raises(StageError, match=r"^\[equilibrium\] no equilibrium"):
+        sweep(config, "p_theta", [5000.0])
 
 
 def test_sweep_rejects_bad_input(tmp_path):
@@ -475,10 +539,11 @@ def test_cli_grid_forms():
 
 def test_numeric_carrier_reproduces_the_auto_gap_gate(tmp_path):
     auto = run_experiment(small_config(tmp_path, out_dir=str(tmp_path / "auto")))
-    nu_hz = auto.gate.carrier_frequency / (2 * np.pi)
+    nu_hz = auto.gate.spec.carrier_frequency / (2 * np.pi)
     fixed = run_experiment(small_config(tmp_path, nu_hz=nu_hz, out_dir=str(tmp_path / "hz")))
-    assert fixed.gate.carrier_frequency == pytest.approx(auto.gate.carrier_frequency, rel=1e-15)
-    assert fixed.gate.amplitude == pytest.approx(auto.gate.amplitude, rel=1e-12)
+    assert fixed.gate.spec.carrier_frequency == pytest.approx(auto.gate.spec.carrier_frequency,
+                                                              rel=1e-15)
+    assert fixed.gate.spec.amplitude == pytest.approx(auto.gate.spec.amplitude, rel=1e-12)
 
 
 def test_gate_run_whose_fidelity_underflows_fails_its_stage(tmp_path, capsys):
