@@ -4,8 +4,7 @@ One set of stage functions -- equilibrium, modes (Hessian, symplectic modes,
 band gaps) and gate (pair, gate time, carrier, amplitude calibration, thermal
 fidelity) -- serves the CLI verbs, ``run_experiment`` and ``sweep``.  A run
 writes the artifacts of the stages it reaches (equilibrium file, spectrum CSV,
-fidelity CSV, phase report) and a manifest.  Runs are deterministic for a fixed
-seed, independent of how many worker threads execute a sweep.
+fidelity CSV, phase report) and a manifest.  Runs are deterministic for a seed.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -226,13 +224,16 @@ def load_state(path) -> CrystalState:
     return state
 
 
-def _require_planar(state: CrystalState) -> CrystalState:
+def _is_planar(state: CrystalState) -> bool:
     """The mode, gate and sweep stages assume a single-plane crystal, which
     needs beta < beta_c(N); a lone ion always qualifies."""
-    beta_c = beta_critical(state.n_ions)
-    if state.n_ions > 1 and state.anisotropy >= beta_c:
+    return state.n_ions == 1 or state.anisotropy < beta_critical(state.n_ions)
+
+
+def _require_planar(state: CrystalState) -> CrystalState:
+    if not _is_planar(state):
         raise ValueError(f"crystal is not planar: beta = {state.anisotropy:.6g} >= "
-                         f"beta_c = {beta_c:.6g} at N = {state.n_ions}")
+                         f"beta_c = {beta_critical(state.n_ions):.6g} at N = {state.n_ions}")
     return state
 
 
@@ -477,101 +478,67 @@ def _write_manifest(path, config, started, state=None, failed=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_SWEEP_COLUMNS = {
-    "p_theta": ("p_theta", "omega_r_over_omega_c", "beta", "energy"),
-    "T": _FIDELITY_COLUMNS,
-    "nu": ("nu_hz", "amplitude", "T_K", "infidelity"),
-    "tau_g": ("tau_ratio", "nu_hz", "T_K", "F", "infidelity", "branch"),
-}
+_SWEEP_PARAMETERS = ("p_theta", "nu_hz", "tau_ratio")
+_SWEEP_COLUMNS = ("omega_r_over_omega_c", "beta", "energy", "pair", "nu_hz", "amplitude",
+                  *_FIDELITY_COLUMNS)
 
 
-def _status(fid):
-    """Sweep-row status of a calibrated gate's fidelity: ``underflow`` where F
-    is exactly 0, since such a row no longer says how far off the gate is."""
-    return "underflow" if fid == 0.0 else "ok"
+def sweep(config: ExperimentConfig, parameter, grid, out_path=None):
+    """Sweep one config field, ``p_theta``, ``nu_hz`` or ``tau_ratio``: each
+    grid value v runs the gate stage of the config with that field set to v,
+    one CSV row per configured temperature, in one schema.
 
-
-def sweep(config: ExperimentConfig, parameter, grid, out_path=None, threads=1):
-    """Consolidated sweep over one parameter: one CSV row per grid point, and
-    one per grid point and temperature for ``tau_g``.
-
-    Grid points are computed independently in a pool of ``threads`` worker
-    threads, collected in grid order, and per-point failures become rows
-    with an error code instead of aborting the sweep.  A ``T``, ``nu`` or
-    ``tau_g`` row whose F underflowed to 0 keeps its numbers with status
-    ``underflow``.
+    ``nu_hz`` and ``tau_ratio`` points share the config's crystal and modes.
+    A ``p_theta`` point solves its own crystal, warm-started from the crystal
+    of the first grid value, and its own modes; a point whose crystal is not
+    planar is one row with the crystal columns only and status
+    ``not-planar``.  A per-point failure is one row with status
+    ``error:<exception type>`` instead of aborting the sweep, and a row whose
+    F underflowed to 0 keeps its numbers with status ``underflow``.
     """
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if parameter not in _SWEEP_COLUMNS:
-        raise ValueError(f"unknown sweep parameter {parameter!r}")
+    if parameter not in _SWEEP_PARAMETERS:
+        raise ValueError(f"unknown sweep parameter {parameter!r}: expected one of "
+                         f"{', '.join(_SWEEP_PARAMETERS)}")
     if len(grid) == 0:
         raise ValueError("empty sweep grid")
     setup = config.setup()
-
-    if parameter == "p_theta":
-        # equilibrium quantities only: 3D points are valid rows here
-        with _stage("equilibrium"):
+    with _stage("equilibrium"):
+        if parameter == "p_theta":
             base = find_equilibrium(setup, float(grid[0]), config.schedule())
-
-        def point(value):
-            state = find_equilibrium(setup, float(value), initial_positions=base.positions)
-            return [(value, state.rotation_frequency, state.anisotropy, state.energy, "ok")]
-    else:
-        with _stage("equilibrium"):
-            state = _require_planar(_equilibrium(config, setup))
+        else:
+            shared = _require_planar(_equilibrium(config, setup))
+    if parameter != "p_theta":
         with _stage("modes"):
-            spectrum, bands = _modes(state, setup)
+            shared_modes = _modes(shared, setup)
 
-        def gate(**change):
-            return _gate_stage(replace(config, **change), setup, state, spectrum, bands)
-
-        if parameter == "T":  # the gate run's own pulse, evaluated at the grid temperatures
-            with _stage("gate"):
-                pulse = gate()[2].spec
-                curve = fidelity_curve(pulse, spectrum, state, setup, grid)
-            by_temp = {row[0]: (*row, _status(row[1])) for row in _fidelity_rows(curve)}
-
-            def point(value):
-                return [by_temp[float(value)]]
-        elif parameter == "nu":
-
-            def point(value):
-                _, _, result = gate(nu_hz=float(value))
-                temp, fid, _ = result.fidelity_curve[0]
-                return [(value, result.spec.amplitude, temp, 1.0 - fid, _status(fid))]
-        else:  # tau_g
-
-            def point(value):
-                _, _, result = gate(tau_ratio=float(value))
-                nu_hz = result.spec.carrier_frequency / (2.0 * math.pi)
-                return [(value, nu_hz, *row, _status(row[1]))
-                        for row in _fidelity_rows(result.fidelity_curve)]
-
-    columns = _SWEEP_COLUMNS[parameter]
-
-    def safe_point(value):
+    rows = []
+    for value in grid:
+        crystal = ()
         try:
-            return point(value)
+            state = (find_equilibrium(setup, float(value), initial_positions=base.positions)
+                     if parameter == "p_theta" else shared)
+            crystal = (state.rotation_frequency, state.anisotropy, state.energy)
+            if _is_planar(state):
+                spectrum, bands = _modes(state, setup) if parameter == "p_theta" else shared_modes
+                pair, _, result = _gate_stage(replace(config, **{parameter: float(value)}),
+                                              setup, state, spectrum, bands)
+                gate = (f"{pair[0]}:{pair[1]}", result.spec.carrier_frequency / (2.0 * math.pi),
+                        result.spec.amplitude)
+                # an F that underflowed to 0 no longer says how far off the gate is
+                rows += [(value, *crystal, *gate, *row, "underflow" if row[1] == 0.0 else "ok")
+                         for row in _fidelity_rows(result.fidelity_curve)]
+                continue
+            status = "not-planar"
         except Exception as exc:  # per-point failure becomes a row
-            return [(value, *[""] * (len(columns) - 1), f"error:{type(exc).__name__}")]
+            status = f"error:{type(exc).__name__}"
+        rows.append((value, *crystal, *[""] * (len(_SWEEP_COLUMNS) - len(crystal)), status))
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = list(pool.map(safe_point, grid))
-
-    text = _csv([*columns, "status"], [row for rows in results for row in rows])
+    text = _csv([parameter, *_SWEEP_COLUMNS, "status"], rows)
     if out_path is not None:
-        Path(out_path).write_text(text)
-        _write_plot_script(Path(out_path), parameter)
+        # data only, with a gnuplot script of the infidelity (column 10) against the value
+        out_path = Path(out_path)
+        out_path.write_text(text)
+        out_path.with_suffix(".gp").write_text(
+            "set datafile separator ','\nset key autotitle columnhead\n"
+            f"plot '{out_path.name}' using 1:10 with points\n")
     return text
-
-
-def _write_plot_script(csv_path, parameter):
-    """Data-only plot emission: a gnuplot script next to the CSV."""
-    gp = csv_path.with_suffix(".gp")
-    ycol = {"p_theta": 2, "T": 3, "nu": 4, "tau_g": 5}[parameter]
-    gp.write_text(
-        "set datafile separator ','\n"
-        "set key autotitle columnhead\n"
-        f"plot '{csv_path.name}' using 1:{ycol} with linespoints\n"
-    )

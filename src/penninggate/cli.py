@@ -19,6 +19,7 @@ import scipy.constants as const
 
 from .beams import Scheme, build_pulse_sequence, verify_conditions
 from .bench import (
+    _SWEEP_PARAMETERS,
     ExperimentConfig,
     StageError,
     _csv,
@@ -65,14 +66,22 @@ def _cmd_gate(args):
     return 0
 
 
+_GRID_FORMS = "v1,v2,... (a list), lo:hi:n (n linear steps) or log:lo:hi:n (n geometric steps)"
+
+
 def _parse_grid(spec: str):
-    if spec.startswith("log:"):
-        _, lo, hi, num = spec.split(":")
-        return list(np.geomspace(float(lo), float(hi), int(num)))
-    if ":" in spec:
-        lo, hi, num = spec.split(":")
-        return list(np.linspace(float(lo), float(hi), int(num)))
-    return [float(tok) for tok in spec.split(",")]
+    spaced = np.geomspace if spec.startswith("log:") else np.linspace
+    try:
+        if ":" in spec:
+            lo, hi, num = spec.removeprefix("log:").split(":")
+            values = list(spaced(float(lo), float(hi), int(num)))
+        else:
+            values = [float(tok) for tok in spec.split(",")]
+    except ValueError:
+        values = []
+    if not values:
+        raise ValueError(f"--grid {spec!r}: expected {_GRID_FORMS}")
+    return values
 
 
 def _cmd_sweep(args):
@@ -81,7 +90,7 @@ def _cmd_sweep(args):
     out.mkdir(parents=True, exist_ok=True)
     grid = _parse_grid(args.grid)
     path = out / f"sweep_{args.parameter}.csv"
-    text = sweep(config, args.parameter, grid, out_path=path, threads=args.threads)
+    text = sweep(config, args.parameter, grid, out_path=path)
     bad = sum(1 for line in text.splitlines()[1:] if not line.endswith(",ok"))
     print(f"sweep: {len(grid)} points -> {path} ({bad} rows not ok)")
     return 0 if bad == 0 else 1
@@ -131,13 +140,9 @@ def main(argv=None) -> int:
     common("equilibrium", _cmd_equilibrium, "solve the crystal equilibrium")
     common("modes", _cmd_modes, "equilibrium plus normal-mode spectrum")
     common("gate", _cmd_gate, "full gate pipeline with fidelity sweep")
-    p_sweep = common("sweep", _cmd_sweep, "sweep one parameter")
-    p_sweep.add_argument("--threads", type=int, default=1,
-                         help="worker threads for the grid points")
-    p_sweep.add_argument("--parameter", required=True,
-                         choices=("p_theta", "T", "nu", "tau_g"))
-    p_sweep.add_argument("--grid", required=True,
-                         help="comma list, lo:hi:n, or log:lo:hi:n")
+    p_sweep = common("sweep", _cmd_sweep, "sweep one config field through the gate stage")
+    p_sweep.add_argument("--parameter", required=True, choices=_SWEEP_PARAMETERS)
+    p_sweep.add_argument("--grid", required=True, help=_GRID_FORMS)
 
     p_pulse = sub.add_parser("pulse-design", help="state-dependent force pulse train")
     p_pulse.set_defaults(handler=_cmd_pulse_design)

@@ -62,14 +62,15 @@ class CrystalState:
         (N, 2) positions are placed at z = 0."""
         positions = np.asarray(positions, dtype=float)
         positions = np.pad(positions, ((0, 0), (0, 3 - positions.shape[1])))
-        grad = effective_potential_gradient(positions, alpha_r, axial_ratio)
+        dist = _pair_distances(positions)
+        grad = _gradient(positions, _trap_curvature(alpha_r, axial_ratio, 3), dist**-3)
         return cls(
             positions=positions,
             axial_ratio=axial_ratio,
             rotation_frequency=alpha_r,
             angular_momentum=total_angular_momentum(positions, alpha_r),
             anisotropy=beta_from_ratio(alpha_r, axial_ratio),
-            energy=effective_potential(positions, alpha_r, axial_ratio),
+            energy=_effective_potential(positions, alpha_r, axial_ratio, dist),
             converged=converged,
             gradient_norm=float(np.linalg.norm(grad)),
             refine_iterations=refine_iterations,
@@ -123,17 +124,28 @@ def _pair_distances(positions):
     return dist
 
 
-def coulomb_energy(positions) -> float:
-    dist = _pair_distances(np.asarray(positions, dtype=float))
+def _coulomb_energy(dist) -> float:
     if dist.min(initial=np.inf) < _MIN_SEPARATION:
         raise ValueError("coincident ions: Coulomb energy singular")
     return 0.5 * float(np.sum(1.0 / dist))
+
+
+def coulomb_energy(positions) -> float:
+    return _coulomb_energy(_pair_distances(np.asarray(positions, dtype=float)))
 
 
 def _trap_curvature(alpha_r, axial_ratio, dim):
     """Trap curvature along each of the first ``dim`` axes: alpha_z^2 (beta, beta, 1)."""
     beta = beta_from_ratio(alpha_r, axial_ratio)
     return axial_ratio**2 * np.array([beta, beta, 1.0])[:dim]
+
+
+def _effective_potential(positions, alpha_r, axial_ratio, dist) -> float:
+    beta = beta_from_ratio(alpha_r, axial_ratio)
+    r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
+    z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
+    trap = 0.5 * axial_ratio**2 * float(np.sum(z2 + beta * r2))
+    return trap + _coulomb_energy(dist)
 
 
 def effective_potential(positions, alpha_r, axial_ratio) -> float:
@@ -143,34 +155,25 @@ def effective_potential(positions, alpha_r, axial_ratio) -> float:
     positions of shape (N, 3) or in-plane positions of shape (N, 2).
     """
     positions = np.asarray(positions, dtype=float)
-    beta = beta_from_ratio(alpha_r, axial_ratio)
-    r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-    z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
-    trap = 0.5 * axial_ratio**2 * float(np.sum(z2 + beta * r2))
-    return trap + coulomb_energy(positions)
+    return _effective_potential(positions, alpha_r, axial_ratio, _pair_distances(positions))
+
+
+def _gradient(positions, curvature, inv3):
+    # sum_j (r_k - r_j) / d_kj^3
+    return positions * curvature - (inv3.sum(axis=1)[:, None] * positions - inv3 @ positions)
 
 
 def effective_potential_gradient(positions, alpha_r, axial_ratio):
     """Analytic gradient of the effective potential, shape (N, d) for (N, d) positions."""
     positions = np.asarray(positions, dtype=float)
-    grad = positions * _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
-    inv3 = _pair_distances(positions) ** -3
-    # sum_j (r_k - r_j) / d_kj^3
-    grad -= inv3.sum(axis=1)[:, None] * positions - inv3 @ positions
-    return grad
+    curvature = _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
+    return _gradient(positions, curvature, _pair_distances(positions) ** -3)
 
 
-def effective_potential_hessian(positions, alpha_r, axial_ratio):
-    """Analytic Hessian of the effective potential, shape (dN, dN) for (N, d)
-    positions, ordered ion by ion.  Each component pair (a, b) is one (N, N)
-    block: the Coulomb dipole tensor delta_ab / d^3 - 3 r_a r_b / d^5 off the
-    diagonal, and the trap curvature minus the row sum on it."""
-    positions = np.asarray(positions, dtype=float)
+def _hessian(positions, curvature, dist, inv3):
     n, dim = positions.shape
-    curvature = _trap_curvature(alpha_r, axial_ratio, dim)
     diff = positions[:, None, :] - positions[None, :, :]
-    dist = _pair_distances(positions)
-    inv3, inv5 = dist**-3, dist**-5
+    inv5 = dist**-5
     hess = np.empty((n, dim, n, dim))
     for a in range(dim):
         for b in range(a, dim):
@@ -180,6 +183,17 @@ def effective_potential_hessian(positions, alpha_r, axial_ratio):
             hess[:, a, :, b] = block
             hess[:, b, :, a] = block
     return hess.reshape(dim * n, dim * n)
+
+
+def effective_potential_hessian(positions, alpha_r, axial_ratio):
+    """Analytic Hessian of the effective potential, shape (dN, dN) for (N, d)
+    positions, ordered ion by ion.  Each component pair (a, b) is one (N, N)
+    block: the Coulomb dipole tensor delta_ab / d^3 - 3 r_a r_b / d^5 off the
+    diagonal, and the trap curvature minus the row sum on it."""
+    positions = np.asarray(positions, dtype=float)
+    dist = _pair_distances(positions)
+    curvature = _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
+    return _hessian(positions, curvature, dist, dist**-3)
 
 
 def total_angular_momentum(positions, alpha_r) -> float:
@@ -200,15 +214,7 @@ def rotation_frequency_from_ptheta(positions, p_theta) -> float:
     return 0.5 - p_theta / r2
 
 
-def reduced_energy(positions, p_theta, axial_ratio) -> float:
-    """Fixed-angular-momentum energy with the momenta eliminated.
-
-    Minimizing this over positions is equivalent to the pair
-    (minimize effective potential at alpha_r, match P_theta); the rotational
-    kinetic term P^2 / (2 I) carries the angular-momentum constraint.
-    Positions of shape (N, 3), or in-plane ones of shape (N, 2).
-    """
-    positions = np.asarray(positions, dtype=float)
+def _reduced_energy(positions, p_theta, axial_ratio, dist) -> float:
     r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
     z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
     kappa = (1.0 - 2.0 * axial_ratio**2) / 8.0
@@ -220,7 +226,19 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
         return math.inf
     else:
         rot = p_theta**2 / (2.0 * inertia)
-    return trap + coulomb_energy(positions) + rot
+    return trap + _coulomb_energy(dist) + rot
+
+
+def reduced_energy(positions, p_theta, axial_ratio) -> float:
+    """Fixed-angular-momentum energy with the momenta eliminated.
+
+    Minimizing this over positions is equivalent to the pair
+    (minimize effective potential at alpha_r, match P_theta); the rotational
+    kinetic term P^2 / (2 I) carries the angular-momentum constraint.
+    Positions of shape (N, 3), or in-plane ones of shape (N, 2).
+    """
+    positions = np.asarray(positions, dtype=float)
+    return _reduced_energy(positions, p_theta, axial_ratio, _pair_distances(positions))
 
 
 def reduced_energy_gradient(positions, p_theta, axial_ratio):
@@ -325,9 +343,12 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     dim = 2 if planar else 3
 
     def objective(flat):
+        # reduced_energy and reduced_energy_gradient from one pass of pair distances
         pos = flat.reshape(n, dim)
-        grad = reduced_energy_gradient(pos, p_theta, alpha_z)
-        return reduced_energy(pos, p_theta, alpha_z), grad.reshape(-1)
+        dist = _pair_distances(pos)
+        curvature = _trap_curvature(rotation_frequency_from_ptheta(pos, p_theta), alpha_z, dim)
+        grad = _gradient(pos, curvature, dist**-3)
+        return _reduced_energy(pos, p_theta, alpha_z, dist), grad.reshape(-1)
 
     def search(start):
         if schedule.steps_per_cycle:
@@ -365,20 +386,25 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
     pos = candidate.positions.copy()
     if planar and not np.any(pos[:, 2]):
         pos = pos[:, :2].copy()
-    energy = effective_potential(pos, alpha_r, alpha_z)
+    # one pair-distance pass per position: the accepted trial's serves the next step
+    dist = _pair_distances(pos)
+    energy = _effective_potential(pos, alpha_r, alpha_z, dist)
     shift = 0.0
     iterations = 0
     while True:
-        gflat = effective_potential_gradient(pos, alpha_r, alpha_z).reshape(-1)
+        curvature = _trap_curvature(alpha_r, alpha_z, pos.shape[1])
+        inv3 = dist**-3
+        gflat = _gradient(pos, curvature, inv3).reshape(-1)
         converged = float(np.linalg.norm(gflat)) < grad_tol
         if converged and planar and pos.shape[1] == 3:
             # a start off the plane has relaxed onto it: finish in the plane
             pos = pos[:, :2].copy()
-            energy = effective_potential(pos, alpha_r, alpha_z)
+            dist = _pair_distances(pos)
+            energy = _effective_potential(pos, alpha_r, alpha_z, dist)
             continue
         if converged or iterations == _NEWTON_STEPS:
             break
-        hess = effective_potential_hessian(pos, alpha_r, alpha_z)
+        hess = _hessian(pos, curvature, dist, inv3)
         scale = float(np.abs(np.diag(hess)).max()) or 1.0
         axis = np.stack([-pos[:, 1], pos[:, 0], np.zeros(n)][:pos.shape[1]], axis=1).ravel()
         if axis @ axis > 0.0:
@@ -402,8 +428,9 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
         t = 1.0
         for _ in range(40):
             trial = pos + t * step
+            tdist = _pair_distances(trial)
             try:
-                etrial = effective_potential(trial, alpha_r, alpha_z)
+                etrial = _effective_potential(trial, alpha_r, alpha_z, tdist)
             except ValueError:
                 etrial = math.inf
             if etrial <= energy + 1e-4 * t * slope:
@@ -411,12 +438,12 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
             t *= 0.5
         else:
             break
-        pos, energy = trial, etrial
+        pos, energy, dist = trial, etrial, tdist
         iterations += 1
 
     if planar and converged:
         # the axial block at z = 0: 1/d_kj^3 off the diagonal, alpha_z^2 - sum_j 1/d_kj^3 on it
-        axial = _pair_distances(pos) ** -3
+        axial = inv3
         np.fill_diagonal(axial, alpha_z**2 - axial.sum(axis=1))
         try:
             np.linalg.cholesky(axial)

@@ -1,5 +1,9 @@
 """Orchestration, persistence, config handling, and determinism."""
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -238,11 +242,11 @@ def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("verb, tuned, expected", [
-    ("gate", False, 1), ("gate", True, 13), ("T", False, 1), ("T", True, 13),
-], ids=["gate", "gate-tuned", "T", "T-tuned"])
+    ("gate", False, 1), ("gate", True, 13), ("sweep", False, 1), ("sweep", True, 13),
+], ids=["gate", "gate-tuned", "sweep", "sweep-tuned"])
 def test_each_candidate_gate_is_calibrated_once(tmp_path, monkeypatch, verb, tuned, expected):
     # a tuned run calibrates its 13 candidate carriers and keeps the winner's
-    # pulse; a T sweep evaluates that pulse instead of calibrating it again
+    # pulse; a sweep point runs the same gate stage
     from penninggate import bench
 
     calls = []
@@ -257,7 +261,7 @@ def test_each_candidate_gate_is_calibrated_once(tmp_path, monkeypatch, verb, tun
     if verb == "gate":
         run_experiment(config)
     else:
-        sweep(config, "T", [config.temperatures_k[0]])
+        sweep(config, "tau_ratio", [config.tau_ratio])
     assert len(calls) == expected
 
 
@@ -284,27 +288,29 @@ def test_run_experiment_refuses_a_three_dimensional_crystal(tmp_path):
     out = Path(config.out_dir)
     assert (out / "FAILED").read_text().startswith("equilibrium:")
     assert not (out / "spectrum.csv").exists()
-    with pytest.raises(StageError, match="not planar"):
-        sweep(config, "T", [1e-3])
+    with pytest.raises(StageError, match=r"^\[equilibrium\] crystal is not planar"):
+        sweep(config, "tau_ratio", [0.006])
 
 
 def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
-    # the p_theta sweep reports equilibrium quantities only, so the planarity
-    # guard of the mode and gate stages does not apply to it
+    # a p_theta point whose crystal is not planar keeps its crystal columns,
+    # leaves the gate columns empty and is not ok
     config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3)
     rows = [line.split(",") for line in sweep(config, "p_theta", [2000.0, 2e4]).splitlines()[1:]]
-    assert [row[-1] for row in rows] == ["ok", "ok"]
+    assert rows[0][4:] == [""] * 7 + ["not-planar"]
     assert float(rows[0][2]) > beta_critical(8) > float(rows[1][2])
 
 
 def test_p_theta_sweep_from_a_three_dimensional_point_is_pinned(tmp_path):
     # the 3D point is refined in 3N coordinates; the two planar points start
-    # from its crystal off the plane, whose axial ions overlap in projection
+    # from its crystal off the plane, whose axial ions overlap in projection;
+    # the crystal columns of each point's first row are pinned
     config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3, anneal_cycles=None,
                           anneal_steps=None)
-    rows = [[float(v) for v in line.split(",")[:4]]
-            for line in sweep(config, "p_theta", [2000.0, 2e4, 6e4]).splitlines()[1:]]
-    assert rows == [pytest.approx(row, rel=1e-13) for row in [
+    rows = {}
+    for line in sweep(config, "p_theta", [2000.0, 2e4, 6e4]).splitlines()[1:]:
+        rows.setdefault(line.split(",")[0], [float(v) for v in line.split(",")[:4]])
+    assert list(rows.values()) == [pytest.approx(row, rel=1e-13) for row in [
         [2000, 0.00039239771439980586, 0.48060934608384909, 1.3298500032626943],
         [20000, 0.00020774684301161361, 0.019259210652080805, 0.46241318540498411],
         [60000, 0.0002015232140256118, 0.0037065060495514723, 0.26697603930507025],
@@ -336,108 +342,86 @@ def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
 
 
 @pytest.mark.parametrize("parameter, overrides", [
-    ("T", {}),
-    ("nu", dict(nu_hz=3.878e6)),
-    ("tau_g", {}),
-    ("tau_g", dict(tune_carrier=True)),
-], ids=["T", "nu", "tau_g", "tau_g-tuned"])
+    ("nu_hz", dict(nu_hz=3.878e6)),
+    ("tau_ratio", {}),
+    ("tau_ratio", dict(tune_carrier=True)),
+], ids=["nu", "tau_g", "tau_g-tuned"])
 def test_sweep_single_point_matches_run(tmp_path, parameter, overrides):
     # a one-point sweep at the run's own value is the run's gate stage, so its
-    # rows carry the run's fidelity.csv fields byte for byte
+    # rows carry the run's crystal, pulse and fidelity.csv fields byte for byte
     config = small_config(tmp_path, **overrides)
     artifacts = run_experiment(config)
     expected = [row.split(",") for row in artifacts.fidelity_file.read_text().splitlines()[1:]]
-    value = {"T": config.temperatures_k[0], "nu": config.nu_hz, "tau_g": config.tau_ratio}
-    text = sweep(config, parameter, [value[parameter]])
-    rows = [row.split(",") for row in text.splitlines()[1:]]
-    if parameter == "T":
-        assert rows == [expected[0] + ["ok"]]
-    elif parameter == "nu":
-        temp, _, infidelity, _ = expected[0]
-        amplitude = f"{artifacts.gate.spec.amplitude:.17g}"
-        assert rows == [["3878000", amplitude, temp, infidelity, "ok"]]
-    else:
-        nu_hz = f"{artifacts.gate.spec.carrier_frequency / (2 * np.pi):.17g}"
-        assert rows == [[f"{config.tau_ratio:.17g}", nu_hz, *row, "ok"] for row in expected]
+    value = getattr(config, parameter)
+    rows = [row.split(",") for row in sweep(config, parameter, [value]).splitlines()[1:]]
+    state, pulse = artifacts.state, artifacts.gate.spec
+    pair = "{}:{}".format(*json.loads(artifacts.phase_file.read_text())["pair"])
+    point = [f"{v:.17g}" for v in (value, state.rotation_frequency, state.anisotropy,
+                                   state.energy)]
+    gate = [pair, f"{pulse.carrier_frequency / (2 * np.pi):.17g}", f"{pulse.amplitude:.17g}"]
+    assert rows == [[*point, *gate, *row, "ok"] for row in expected]
 
 
-def test_temperature_sweep_uses_the_tuned_carrier_of_the_gate_run(tmp_path):
-    config = small_config(tmp_path, tune_carrier=True)
-    artifacts = run_experiment(config)
-    first = artifacts.fidelity_file.read_text().splitlines()[1]
-    text = sweep(config, "T", [config.temperatures_k[0]])
-    assert text.splitlines()[1] == first + ",ok"
-
-
-def test_sweep_thread_invariance(tmp_path, setup_low, eq_low_p0):
-    config = small_config(
-        tmp_path,
-        nu_c_hz=76.08e3,
-        alpha_z=0.7,
-        n_ions=30,
-        p_theta=0.0,
-        anneal_cycles=None,
-        anneal_steps=None,
-        seed=7,
-    )
-    grid = [0.0, 1000.0, 4000.0]
-    serial = sweep(config, "p_theta", grid, threads=1)
-    parallel = sweep(config, "p_theta", grid, threads=4)
-    assert serial == parallel
-    rows = [line.split(",") for line in serial.splitlines()[1:]]
-    assert all(row[-1] == "ok" for row in rows)
-    values = [float(row[1]) for row in rows]
-    assert values[0] == 0.5
-    assert values[1] > values[2]
+def test_sweep_thread_invariance(tmp_path):
+    # the same sweep with one and with two BLAS threads writes the same rows
+    config = small_config(tmp_path, nu_c_hz=76.08e3, alpha_z=0.7, n_ions=30, p_theta=0.0,
+                          anneal_cycles=None, anneal_steps=None, seed=7)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(config)) + "\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    texts = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        # every row underflows at this slow-rotation point, so the verb exits 1
+        proc = subprocess.run([sys.executable, "-m", "penninggate.cli", "sweep", "--config",
+                               str(cfg), "--parameter", "p_theta", "--grid", "0,1000,4000",
+                               "--out", str(tmp_path / threads)], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert proc.returncode == 1 and proc.stderr == "", proc.stderr
+        texts.append((tmp_path / threads / "sweep_p_theta.csv").read_text())
+    assert texts[0] == texts[1]
+    omega_r = {row[0]: float(row[1]) for row in
+               (line.split(",") for line in texts[0].splitlines()[1:])}
+    assert omega_r["0"] == 0.5
+    assert omega_r["1000"] > omega_r["4000"]
 
 
 def test_sweep_records_per_point_failure(tmp_path):
     config = small_config(tmp_path)
     # a carrier resonant with a mode makes calibration blow up per point; at
     # 1 MHz F underflows to 0, at the mid-gap 3.88 MHz it does not
-    text = sweep(config, "nu", [-1.0, 1e6, 3.88e6], threads=1)
-    rows = text.splitlines()[1:]
-    assert rows[0].endswith("error:ValueError")
-    assert rows[1].endswith(",1,underflow")
-    assert rows[2].endswith(",ok")
+    text = sweep(config, "nu_hz", [-1.0, 1e6, 3.88e6])
+    rows = [row.split(",") for row in text.splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["error:ValueError"] + ["underflow"] * 3 + ["ok"] * 3
+    # the error row keeps the shared crystal's columns
+    assert rows[0][1:4] == rows[1][1:4] and rows[0][4:-1] == [""] * 7
+    assert all(row[8] == "0" for row in rows[1:4])
 
 
 def test_whole_sweep_failures_carry_their_stage(tmp_path, monkeypatch):
-    # the T branch's gate and the p_theta base crystal serve every grid point,
-    # so their failures abort the sweep under their stage label
+    # the p_theta sweep's first crystal and the crystal that nu_hz and
+    # tau_ratio points share serve every grid point, so their failures abort
+    # the sweep under their stage label
     from penninggate import bench
-
-    config = small_config(tmp_path)
-    with pytest.raises(StageError, match=r"^\[gate\] temperature must be positive"):
-        sweep(config, "T", [-1.0])
 
     def failing(*args, **kwargs):
         raise ValueError("no equilibrium")
 
     monkeypatch.setattr(bench, "find_equilibrium", failing)
-    with pytest.raises(StageError, match=r"^\[equilibrium\] no equilibrium"):
-        sweep(config, "p_theta", [5000.0])
+    config = small_config(tmp_path)
+    for parameter in ("p_theta", "nu_hz"):
+        with pytest.raises(StageError, match=r"^\[equilibrium\] no equilibrium"):
+            sweep(config, parameter, [5000.0])
 
 
 def test_sweep_rejects_bad_input(tmp_path):
     config = small_config(tmp_path)
-    with pytest.raises(ValueError, match="unknown sweep parameter"):
-        sweep(config, "voltage", [1.0])
+    for parameter in ("voltage", "T", "nu", "tau_g"):
+        with pytest.raises(ValueError, match="unknown sweep parameter"):
+            sweep(config, parameter, [1.0])
     with pytest.raises(ValueError, match="empty sweep grid"):
-        sweep(config, "T", [])
-
-
-def test_sweep_needs_at_least_one_thread(tmp_path, capsys):
-    from penninggate.cli import main
-
-    config = small_config(tmp_path)
-    with pytest.raises(ValueError, match="threads must be at least 1, got 0"):
-        sweep(config, "T", [1e-3], threads=0)
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join(config_lines(config)) + "\n")
-    assert main(["sweep", "--config", str(cfg), "--parameter", "T", "--grid", "1e-3",
-                 "--threads", "0"]) == 1
-    assert capsys.readouterr().err == "error: threads must be at least 1, got 0\n"
+        sweep(config, "tau_ratio", [])
 
 
 def test_manifest_reproduces_run(tmp_path):
@@ -469,16 +453,16 @@ def test_tau_ratio_sweep_monotone_curves_on_one_carrier(tmp_path):
     # of the longer gates
     for nu_hz, grid, status in (("auto-gap", [1e-1, 1e-2, 1e-3], "underflow"),
                                 (5.9e6, [4e-1, 2e-1, 1e-1], "ok")):
-        text = sweep(replace(config, nu_hz=nu_hz), "tau_g", grid)
+        text = sweep(replace(config, nu_hz=nu_hz), "tau_ratio", grid)
         rows = [line.split(",") for line in text.splitlines()[1:]]
         assert len(rows) == 9 and all(row[-1] == status for row in rows)
-        assert all((float(row[3]) == 0.0) == (status == "underflow") for row in rows)
-        assert len({row[1] for row in rows}) == 1
+        assert all((float(row[8]) == 0.0) == (status == "underflow") for row in rows)
+        assert len({row[5] for row in rows}) == 1
         if nu_hz != "auto-gap":
-            assert float(rows[0][1]) == nu_hz
+            assert float(rows[0][5]) == nu_hz
         by_ratio = {}
         for row in rows:
-            by_ratio.setdefault(float(row[0]), []).append((float(row[2]), float(row[4])))
+            by_ratio.setdefault(float(row[0]), []).append((float(row[7]), float(row[9])))
         assert list(by_ratio) == grid
         for ratio, curve in by_ratio.items():
             curve.sort()
@@ -515,8 +499,8 @@ def test_cli_verbs(tmp_path):
     assert main(["equilibrium", "--config", str(cfg)]) == 0
     assert main(["modes", "--config", str(cfg)]) == 0
     assert main(["gate", "--config", str(cfg)]) == 0
-    assert main(["sweep", "--config", str(cfg), "--parameter", "T",
-                 "--grid", "1e-4,1e-3"]) == 0
+    assert main(["sweep", "--config", str(cfg), "--parameter", "tau_ratio",
+                 "--grid", "0.006,0.02"]) == 0
     assert main([
         "pulse-design", "--scheme", "same-sigma+", "--nu-hz", "1e6",
         "--periods", "4", "--delta-d1-hz=-3e10", "--delta-d2-hz", "4.5e10",
@@ -529,12 +513,22 @@ def test_cli_verbs(tmp_path):
     assert main(["gate", "--config", str(bad)]) == 1
 
 
-def test_cli_grid_forms():
-    from penninggate.cli import _parse_grid
+def test_cli_grid_forms(tmp_path, capsys):
+    from penninggate.cli import _parse_grid, main
 
     assert _parse_grid("1e-4,2e-3") == [1e-4, 2e-3]
     assert _parse_grid("0:10:3") == [0.0, 5.0, 10.0]
     assert _parse_grid("log:1e-4:1e-2:3") == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-15)
+    # a malformed grid names the flag, the value and the three forms
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
+    for spec in ("1:2", "1e5:2e5:x", "1:2:3:4", "log:1:2", "log:0:1:3", "1,,2", "a,b",
+                 "1:2:0", ""):
+        assert main(["sweep", "--config", str(cfg), "--parameter", "tau_ratio",
+                     "--grid", spec]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --grid {spec!r}: expected v1,v2,... (a list), lo:hi:n (n linear steps) "
+            f"or log:lo:hi:n (n geometric steps)\n")
 
 
 def test_numeric_carrier_reproduces_the_auto_gap_gate(tmp_path):
@@ -564,16 +558,6 @@ def test_gate_run_whose_fidelity_underflows_fails_its_stage(tmp_path, capsys):
     assert [row.split(",")[1] for row in rows] == ["0", "0", "0"]
     assert (out / "phase.json").is_file()
     assert "# failed_stage gate" in (out / "manifest.txt").read_text().splitlines()
-
-
-def test_threads_is_a_sweep_flag_only(tmp_path):
-    from penninggate.cli import main
-
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["gate", "--config", str(cfg), "--threads", "2"])
-    assert exc.value.code == 2
 
 
 def test_cli_planarity_guard_applies_past_the_modes(tmp_path, capsys):

@@ -200,13 +200,13 @@ def test_planar_pair_refines_in_the_plane(small_pair_setup, monkeypatch):
     from penninggate import crystal
 
     shapes = []
-    original = crystal.effective_potential_hessian
+    original = crystal._hessian
 
-    def recorded(positions, alpha_r, axial_ratio):
+    def recorded(positions, *args):
         shapes.append(np.shape(positions))
-        return original(positions, alpha_r, axial_ratio)
+        return original(positions, *args)
 
-    monkeypatch.setattr(crystal, "effective_potential_hessian", recorded)
+    monkeypatch.setattr(crystal, "_hessian", recorded)
     refined = newton_refine(_pair_candidate(small_pair_setup, 7.0), grad_tol=1e-13)
     assert refined.converged
     assert refined.refine_iterations == len(shapes) > 0
@@ -248,6 +248,26 @@ def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
     state = find_equilibrium(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=7))
     assert len(steps) >= 2
     assert state.refine_iterations == sum(steps)
+
+
+def test_newton_refine_forms_the_pair_distances_once_per_position(setup_high, monkeypatch):
+    # one pass for the start, one per line-search trial (this candidate takes
+    # every full step) and one for the returned state; the accepted trial's
+    # distances serve the next gradient and Hessian
+    from penninggate import crystal
+
+    candidate = anneal(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=3))[0]
+    passes = []
+    original = crystal._pair_distances
+
+    def counted(positions):
+        passes.append(1)
+        return original(positions)
+
+    monkeypatch.setattr(crystal, "_pair_distances", counted)
+    refined = newton_refine(candidate)
+    assert refined.converged and refined.refine_iterations > 5
+    assert len(passes) == refined.refine_iterations + 2
 
 
 def test_min_excitation_matches_finite_difference_pipeline(eq_low_p0):

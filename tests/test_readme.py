@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -36,23 +37,50 @@ def test_readme_fig4_config_runs_the_gate_verb(tmp_path):
 
 
 def test_readme_fig4_tau_sweep_runs_on_the_gate_carrier(tmp_path):
-    # the tau_g sweep drives every point on the gate's own carrier rule: here
-    # the mid-gap carrier, 3.878 MHz, which keeps every row's F > 0
+    # the tau_ratio sweep drives every point on the gate's own carrier rule:
+    # here the mid-gap carrier, 3.878 MHz, which keeps every row's F > 0
     blocks = re.findall(r"```\n(# fig4\.cfg\n.*?)```", README.read_text(), flags=re.DOTALL)
     cfg = tmp_path / "fig4.cfg"
     cfg.write_text(blocks[0])
     assert main(["gate", "--config", str(cfg), "--out", str(tmp_path / "gate")]) == 0
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "sweep"),
-                 "--parameter", "tau_g", "--grid", "0.006,0.02,0.06,0.2"]) == 0
+                 "--parameter", "tau_ratio", "--grid", "0.006,0.02,0.06,0.2"]) == 0
     rows = [row.split(",") for row in
-            (tmp_path / "sweep" / "sweep_tau_g.csv").read_text().splitlines()[1:]]
-    assert len(rows) == 12 and all(row[-1] == "ok" and float(row[3]) > 0.0 for row in rows)
+            (tmp_path / "sweep" / "sweep_tau_ratio.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 12 and all(row[-1] == "ok" and float(row[8]) > 0.0 for row in rows)
     carrier = json.loads((tmp_path / "gate" / "phase.json").read_text())["nu_hz"]
-    assert {float(row[1]) for row in rows} == {carrier}
+    assert {float(row[5]) for row in rows} == {carrier}
     assert carrier == pytest.approx(3878492.83, abs=0.005)
     gate_rows = (tmp_path / "gate" / "fidelity.csv").read_text().splitlines()[1:]
-    assert [",".join(row[2:-1]) for row in rows[:3]] == gate_rows
-    at_1mk = [float(row[4]) for row in rows if float(row[2]) == 1e-3]
+    assert [",".join(row[7:-1]) for row in rows[:3]] == gate_rows
+    at_1mk = [float(row[9]) for row in rows if float(row[7]) == 1e-3]
     assert at_1mk == [pytest.approx(value, rel=1e-6) for value in
                       (1.2928538127177092e-05, 2.2754386639678437e-05,
                        1.4951177702005047e-05, 1.2114258213680174e-05)]
+
+
+def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
+    # every line of the command block, with fig4.cfg in the working directory
+    blocks = re.findall(r"```\n(# fig4\.cfg\n.*?)```", README.read_text(), flags=re.DOTALL)
+    (tmp_path / "fig4.cfg").write_text(blocks[0])
+    commands = re.findall(r"```sh\n(penninggate .*?)```", README.read_text(), flags=re.DOTALL)
+    assert len(commands) == 1
+    lines = [shlex.split(line, comments=True)
+             for line in commands[0].replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in lines] == [
+        ["penninggate", verb] for verb in ("equilibrium", "modes", "gate", "sweep",
+                                           "pulse-design")]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
+    # the p_theta sweep crosses the paper's regime at three rotation frequencies
+    rows = [row.split(",") for row in
+            (tmp_path / "runs" / "fig4" / "sweep_p_theta.csv").read_text().splitlines()[1:]]
+    at_1mk = [row for row in rows if float(row[7]) == 1e-3]
+    assert [float(row[0]) for row in at_1mk] == [1.3e5, 3e5, 1e6]
+    assert [float(row[2]) for row in at_1mk] == [pytest.approx(beta, rel=1e-6) for beta in
+                                                 (0.042875217196518101, 0.012230816864446381,
+                                                  0.0020097529579786721)]
+    assert [float(row[9]) for row in at_1mk] == [
+        pytest.approx(infidelity, rel=1e-6) for infidelity in
+        (1.2928494985242622e-05, 0.0067599782371791095, 5.2162707859904067e-05)]
