@@ -65,10 +65,14 @@ class ExperimentConfig:
             b <= a for a, b in zip(temps, temps[1:])
         ):
             raise ValueError("temperature grid must be strictly increasing and positive")
-        if self.tau_ratio is None:
-            raise ValueError("tau_ratio must be set")
+        if not (self.tau_ratio or 0) > 0:
+            raise ValueError(f"tau_ratio must be set and positive, got {self.tau_ratio}")
+        for key in ("sigma_fraction", "nu_hz"):
+            if getattr(self, key) not in (None, "auto-gap") and not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key):g}")
         _pair_indices(self.pair_rule, self.n_ions)
         self.setup()
+        self.schedule()
 
     def setup(self) -> TrapSetup:
         try:
@@ -224,17 +228,11 @@ def load_state(path) -> CrystalState:
     return state
 
 
-def _is_planar(state: CrystalState) -> bool:
-    """The mode, gate and sweep stages assume a single-plane crystal, which
-    needs beta < beta_c(N); a lone ion always qualifies."""
-    return state.n_ions == 1 or state.anisotropy < beta_critical(state.n_ions)
-
-
-def _require_planar(state: CrystalState) -> CrystalState:
-    if not _is_planar(state):
-        raise ValueError(f"crystal is not planar: beta = {state.anisotropy:.6g} >= "
-                         f"beta_c = {beta_critical(state.n_ions):.6g} at N = {state.n_ions}")
-    return state
+def _not_planar(state: CrystalState):
+    """Why ``state`` is not the single-plane crystal that the gate needs, else None."""
+    n, beta, beta_c = state.n_ions, state.anisotropy, beta_critical(state.n_ions)
+    if n > 1 and beta >= beta_c:
+        return f"crystal is not planar: beta = {beta:.6g} >= beta_c = {beta_c:.6g} at N = {n}"
 
 
 def _pair_indices(rule, n_ions):
@@ -331,6 +329,10 @@ def _fidelity_rows(curve):
     return [(temp, value, 1.0 - value, branch) for temp, value, branch in curve]
 
 
+def _underflowed(row):  # infidelity reads 1 (F = 0, or 1 - F rounds to 1): no measure left
+    return row[2] == 1.0
+
+
 # Pipeline stages.  The CLI verbs, run_experiment and sweep all compute through
 # these functions; _run_stages chains them and writes the artifacts.
 
@@ -360,7 +362,8 @@ def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
     The carrier is the configured ``nu_hz``; otherwise the middle of the
     widest band gap or, with ``tune_carrier``, the one of 13 carriers across
     the inner 60 % of that gap whose gate has the lowest infidelity at the
-    lowest configured temperature.  Each candidate is calibrated once.
+    lowest configured temperature.  Each candidate is calibrated once, and a
+    gate shorter than one period of its carrier is a ValueError.
     """
     pair = select_pair(state, config.pair_rule)
     omega_c = setup.cyclotron_frequency
@@ -369,6 +372,9 @@ def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
     width = None if config.sigma_fraction is None else config.sigma_fraction * tau_g
 
     def gate(nu):
+        if tau_g < 2.0 * math.pi / nu:
+            raise ValueError(f"gate time tau_g = {tau_g:.4g} s is shorter than one carrier "
+                             f"period, {2.0 * math.pi / nu:.4g} s")
         spec = GateSpec(target_pair=pair, carrier_frequency=nu, gate_time=tau_g,
                         envelope_width=width)
         amplitude, phase = calibrated_phase(spec, spectrum, state, setup)
@@ -407,8 +413,8 @@ def _run_stages(config: ExperimentConfig, last):
         with _stage("equilibrium"):
             run.state = _equilibrium(config, setup)
             save_state(run.state, out / "equilibrium.txt")
-            if last == "gate":
-                _require_planar(run.state)
+            if last == "gate" and _not_planar(run.state):
+                raise ValueError(_not_planar(run.state))
         if last != "equilibrium":
             with _stage("modes"):
                 run.spectrum, run.bands = _modes(run.state, setup)
@@ -430,9 +436,9 @@ def _run_stages(config: ExperimentConfig, last):
                 }
                 (out / "phase.json").write_text(
                     json.dumps(report, indent=2, sort_keys=True) + "\n")
-                zero = next((t for t, fid, _ in run.gate.fidelity_curve if fid == 0.0), None)
-                if zero is not None:
-                    raise RuntimeError(f"fidelity underflowed to 0 at T = {zero:g} K")
+                bad = next(filter(_underflowed, _fidelity_rows(run.gate.fidelity_curve)), None)
+                if bad is not None:
+                    raise RuntimeError(f"fidelity underflowed to {bad[1]:.3g} at T = {bad[0]:g} K")
     except StageError as exc:
         (out / "FAILED").write_text(f"{exc.stage}: {exc.__cause__}\n")
         _write_manifest(out / "manifest.txt", config, started, run.state, failed=exc.stage)
@@ -478,59 +484,51 @@ def _write_manifest(path, config, started, state=None, failed=None):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_SWEEP_PARAMETERS = ("p_theta", "nu_hz", "tau_ratio")
+_SWEEP_PARAMETERS = tuple(f.name for f in fields(ExperimentConfig)
+                          if f.type.split(" | ")[0] in ("int", "float"))
 _SWEEP_COLUMNS = ("omega_r_over_omega_c", "beta", "energy", "pair", "nu_hz", "amplitude",
                   *_FIDELITY_COLUMNS)
 
 
 def sweep(config: ExperimentConfig, parameter, grid, out_path=None):
-    """Sweep one config field, ``p_theta``, ``nu_hz`` or ``tau_ratio``: each
-    grid value v runs the gate stage of the config with that field set to v,
-    one CSV row per configured temperature, in one schema.
-
-    ``nu_hz`` and ``tau_ratio`` points share the config's crystal and modes.
-    A ``p_theta`` point solves its own crystal, warm-started from the crystal
-    of the first grid value, and its own modes; a point whose crystal is not
-    planar is one row with the crystal columns only and status
-    ``not-planar``.  A per-point failure is one row with status
-    ``error:<exception type>`` instead of aborting the sweep, and a row whose
-    F underflowed to 0 keeps its numbers with status ``underflow``.
-    """
+    """Sweep one numeric config field: each grid value v is the pipeline of
+    its own config ``replace(config, <field>=v)``, whose rows (one per
+    configured temperature) are that config's ``gate`` run; points whose
+    trap, ``p_theta`` and search budget agree share one crystal and its modes.
+    Statuses: ``ok``, ``underflow`` (infidelity reads 1), ``not-planar`` and
+    ``error:<stage>:<exception type>``, the last two with only the crystal
+    columns."""
     if parameter not in _SWEEP_PARAMETERS:
         raise ValueError(f"unknown sweep parameter {parameter!r}: expected one of "
                          f"{', '.join(_SWEEP_PARAMETERS)}")
     if len(grid) == 0:
         raise ValueError("empty sweep grid")
-    setup = config.setup()
-    with _stage("equilibrium"):
-        if parameter == "p_theta":
-            base = find_equilibrium(setup, float(grid[0]), config.schedule())
-        else:
-            shared = _require_planar(_equilibrium(config, setup))
-    if parameter != "p_theta":
-        with _stage("modes"):
-            shared_modes = _modes(shared, setup)
-
-    rows = []
+    crystals, rows = {}, []  # [state, modes] per (trap, p_theta, search budget)
     for value in grid:
         crystal = ()
         try:
-            state = (find_equilibrium(setup, float(value), initial_positions=base.positions)
-                     if parameter == "p_theta" else shared)
+            with _stage("config"):
+                point = replace(config, **{parameter: value})
+                setup = point.setup()
+            key = (setup, point.p_theta, point.schedule())
+            if key not in crystals:
+                with _stage("equilibrium"):
+                    crystals[key] = [_equilibrium(point, setup), None]
+            state, modes = crystals[key]
             crystal = (state.rotation_frequency, state.anisotropy, state.energy)
-            if _is_planar(state):
-                spectrum, bands = _modes(state, setup) if parameter == "p_theta" else shared_modes
-                pair, _, result = _gate_stage(replace(config, **{parameter: float(value)}),
-                                              setup, state, spectrum, bands)
+            status = "not-planar"
+            if not _not_planar(state):
+                with _stage("modes"):
+                    modes = crystals[key][1] = modes or _modes(state, setup)
+                with _stage("gate"):
+                    pair, _, result = _gate_stage(point, setup, state, *modes)
                 gate = (f"{pair[0]}:{pair[1]}", result.spec.carrier_frequency / (2.0 * math.pi),
                         result.spec.amplitude)
-                # an F that underflowed to 0 no longer says how far off the gate is
-                rows += [(value, *crystal, *gate, *row, "underflow" if row[1] == 0.0 else "ok")
+                rows += [(value, *crystal, *gate, *row, "underflow" if _underflowed(row) else "ok")
                          for row in _fidelity_rows(result.fidelity_curve)]
                 continue
-            status = "not-planar"
-        except Exception as exc:  # per-point failure becomes a row
-            status = f"error:{type(exc).__name__}"
+        except StageError as exc:  # a failing point becomes a row
+            status = f"error:{exc.stage}:{type(exc.__cause__).__name__}"
         rows.append((value, *crystal, *[""] * (len(_SWEEP_COLUMNS) - len(crystal)), status))
 
     text = _csv([parameter, *_SWEEP_COLUMNS, "status"], rows)

@@ -19,9 +19,10 @@ import scipy.constants as const
 
 from .beams import Scheme, build_pulse_sequence, verify_conditions
 from .bench import (
+    _CONFIG_PARSERS,
+    _FMT,
     _SWEEP_PARAMETERS,
     ExperimentConfig,
-    StageError,
     _csv,
     _run_stages,
     parse_config,
@@ -69,14 +70,14 @@ def _cmd_gate(args):
 _GRID_FORMS = "v1,v2,... (a list), lo:hi:n (n linear steps) or log:lo:hi:n (n geometric steps)"
 
 
-def _parse_grid(spec: str):
+def _parse_grid(spec: str, parse):  # each value read by its field's config parser
     spaced = np.geomspace if spec.startswith("log:") else np.linspace
     try:
         if ":" in spec:
             lo, hi, num = spec.removeprefix("log:").split(":")
-            values = list(spaced(float(lo), float(hi), int(num)))
+            values = [parse(_FMT.format(v)) for v in spaced(float(lo), float(hi), int(num))]
         else:
-            values = [float(tok) for tok in spec.split(",")]
+            values = [parse(tok) for tok in spec.split(",")]
     except ValueError:
         values = []
     if not values:
@@ -88,7 +89,7 @@ def _cmd_sweep(args):
     config = _load(args)
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid(args.grid, _CONFIG_PARSERS[args.parameter])
     path = out / f"sweep_{args.parameter}.csv"
     text = sweep(config, args.parameter, grid, out_path=path)
     bad = sum(1 for line in text.splitlines()[1:] if not line.endswith(",ok"))
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (StageError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:  # StageError is a RuntimeError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -43,6 +43,24 @@ def small_config(tmp_path, **overrides):
     return ExperimentConfig(**base)
 
 
+# the README fig4 point
+FIG4 = dict(species="Be+", nu_c_hz=7.608e6, alpha_z=0.02, n_ions=30, p_theta=1.3e5,
+            tau_ratio=0.006, temperatures_k=(1e-4, 1e-3, 1e-2), seed=11)
+
+
+def gate_run_rows(config, value):
+    """The sweep rows, split into fields, that the gate run of ``config``
+    gives a grid value ``value``: its crystal, pulse and fidelity.csv rows."""
+    artifacts = run_experiment(config)
+    state, pulse = artifacts.state, artifacts.gate.spec
+    pair = "{}:{}".format(*json.loads(artifacts.phase_file.read_text())["pair"])
+    point = [f"{v:.17g}" for v in (value, state.rotation_frequency, state.anisotropy,
+                                   state.energy)]
+    gate = [pair, f"{pulse.carrier_frequency / (2 * np.pi):.17g}", f"{pulse.amplitude:.17g}"]
+    return [[*point, *gate, *row.split(","), "ok"]
+            for row in artifacts.fidelity_file.read_text().splitlines()[1:]]
+
+
 # the second config sets every field away from its default, so the round
 # trip passes through every value parser
 @pytest.mark.parametrize("overrides", [
@@ -128,6 +146,31 @@ def test_config_bool_accepts_exactly_the_four_spellings_in_any_case(tmp_path):
 def test_config_temperature_grid_validation(tmp_path):
     with pytest.raises(ValueError, match="temperature grid"):
         small_config(tmp_path, temperatures_k=(1e-3, 1e-4))
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tau_ratio = 0", r"tau_ratio must be set and positive, got 0\.0"),
+    ("sigma_fraction = 0", "sigma_fraction must be positive, got 0"),
+    ("nu_hz = -2", "nu_hz must be positive, got -2"),
+    ("anneal_cycles = 0", "cycle count must be at least 1"),
+    ("anneal_steps = -1", "steps per cycle must be nonnegative"),
+], ids=["tau_ratio", "sigma_fraction", "nu_hz", "anneal_cycles", "anneal_steps"])
+def test_config_out_of_range_values_fail_when_built(tmp_path, monkeypatch, line, message):
+    # such a value fails when the config is built, not after a search; a
+    # sweep point with it is a config row made without a search
+    from penninggate import bench
+
+    key, _, val = line.partition(" = ")
+    path = tmp_path / "bad.cfg"
+    path.write_text("\n".join([entry for entry in config_lines(small_config(tmp_path))
+                               if not entry.startswith(f"{key} ")] + [line]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{tmp_path / 'bad.cfg'}: {message}$"):
+        parse_config(path)
+    searches = []
+    monkeypatch.setattr(bench, "find_equilibrium", lambda *args, **kwargs: searches.append(1))
+    text = sweep(small_config(tmp_path), key, [bench._CONFIG_PARSERS[key](val)])
+    assert text.splitlines()[1:] == [f"{val}{',' * 10},error:config:ValueError"]
+    assert searches == []
 
 
 def test_state_round_trip_bit_exact(eq_low_p4000, tmp_path):
@@ -288,8 +331,9 @@ def test_run_experiment_refuses_a_three_dimensional_crystal(tmp_path):
     out = Path(config.out_dir)
     assert (out / "FAILED").read_text().startswith("equilibrium:")
     assert not (out / "spectrum.csv").exists()
-    with pytest.raises(StageError, match=r"^\[equilibrium\] crystal is not planar"):
-        sweep(config, "tau_ratio", [0.006])
+    rows = [line.split(",") for line in sweep(config, "tau_ratio", [0.006]).splitlines()[1:]]
+    assert len(rows) == 1 and rows[0][4:] == [""] * 7 + ["not-planar"]
+    assert float(rows[0][2]) > beta_critical(8)
 
 
 def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
@@ -302,19 +346,69 @@ def test_p_theta_sweep_traces_beta_through_a_three_dimensional_point(tmp_path):
 
 
 def test_p_theta_sweep_from_a_three_dimensional_point_is_pinned(tmp_path):
-    # the 3D point is refined in 3N coordinates; the two planar points start
-    # from its crystal off the plane, whose axial ions overlap in projection;
-    # the crystal columns of each point's first row are pinned
+    # every point is its own search: the 3D point is refined in 3N
+    # coordinates and is not planar, the two planar points are searched in
+    # the plane and their gates are ok; the crystal columns of each point's
+    # first row are pinned
     config = small_config(tmp_path, n_ions=8, p_theta=2000.0, seed=3, anneal_cycles=None,
                           anneal_steps=None)
-    rows = {}
+    rows, statuses = {}, []
     for line in sweep(config, "p_theta", [2000.0, 2e4, 6e4]).splitlines()[1:]:
         rows.setdefault(line.split(",")[0], [float(v) for v in line.split(",")[:4]])
+        statuses.append(line.split(",")[-1])
+    assert statuses == ["not-planar"] + ["ok"] * 6
     assert list(rows.values()) == [pytest.approx(row, rel=1e-13) for row in [
-        [2000, 0.00039239771439980586, 0.48060934608384909, 1.3298500032626943],
-        [20000, 0.00020774684301161361, 0.019259210652080805, 0.46241318540498411],
-        [60000, 0.0002015232140256118, 0.0037065060495514723, 0.26697603930507025],
+        [2000, 0.0003923977143999724, 0.48060934608426509, 1.3298500032630276],
+        [20000, 0.00020768900609935415, 0.019114678440249055, 0.45894291737258175],
+        [60000, 0.00020151208303054169, 0.0036786897773359861, 0.26497245427020721],
     ]]
+
+
+@pytest.mark.parametrize("parameter, grid", [("seed", [1, 2, 3, 11]), ("n_ions", [30, 40])])
+def test_every_sweep_row_is_the_gate_run_of_its_point(tmp_path, parameter, grid):
+    # a point that moves the crystal runs its own search and modes, so its
+    # rows are those of the gate run of its config byte for byte
+    config = ExperimentConfig(**FIG4, out_dir=str(tmp_path))
+    rows = [line.split(",") for line in sweep(config, parameter, grid).splitlines()[1:]]
+    assert rows == [row for value in grid for row in gate_run_rows(
+        replace(config, **{parameter: value}, out_dir=str(tmp_path / str(value))), value)]
+
+
+def test_p_theta_sweep_from_an_on_axis_chain(tmp_path):
+    # P_theta = 0 at the fig4 point is a chain along z; the planar points
+    # after it are searched afresh and their gates are ok
+    config = ExperimentConfig(**FIG4, out_dir=str(tmp_path))
+    rows = [line.split(",") for line in
+            sweep(config, "p_theta", [0.0, 1.3e5, 3e5]).splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["not-planar"] + ["ok"] * 6
+    assert float(rows[0][2]) > beta_critical(30) > float(rows[1][2])
+
+
+def test_a_fidelity_whose_infidelity_rounds_to_one_is_not_ok(tmp_path, capsys):
+    from penninggate.cli import main
+
+    # at N = 20 the fig4 gate gives F(1 mK) = 2e-26 and F(10 mK) = 8.5e-258:
+    # above 0, but 1 - F reads exactly 1
+    config = ExperimentConfig(**dict(FIG4, n_ions=20), out_dir=str(tmp_path / "gate"))
+    cfg = tmp_path / "n20.cfg"
+    cfg.write_text("\n".join(config_lines(config)) + "\n")
+    assert main(["gate", "--config", str(cfg)]) == 1
+    reason = "fidelity underflowed to 1.96e-26 at T = 0.001 K"
+    assert capsys.readouterr().err == f"error: [gate] {reason}\n"
+    assert (tmp_path / "gate" / "FAILED").read_text() == f"gate: {reason}\n"
+    rows = [line.split(",") for line in sweep(config, "n_ions", [20]).splitlines()[1:]]
+    assert [row[-1] for row in rows] == ["ok", "underflow", "underflow"]
+    assert all(float(row[8]) > 0.0 and row[9] == "1" for row in rows[1:])
+
+
+def test_a_gate_shorter_than_one_carrier_period_fails_its_stage(tmp_path):
+    # the mirror branch of the fig4 point rotates near omega_c: its gate,
+    # 0.006 tau_r, is shorter than one period of the mid-gap carrier
+    config = ExperimentConfig(**dict(FIG4, p_theta=-1.3e5), out_dir=str(tmp_path))
+    with pytest.raises(StageError, match=r"^\[gate\] gate time tau_g = 7\.888e-10 s is shorter "
+                                         r"than one carrier period, 2\.578e-07 s$"):
+        run_experiment(config)
+    assert (tmp_path / "FAILED").read_text().startswith("gate: gate time tau_g")
 
 
 def test_manifest_names_the_package_version(tmp_path):
@@ -350,16 +444,9 @@ def test_sweep_single_point_matches_run(tmp_path, parameter, overrides):
     # a one-point sweep at the run's own value is the run's gate stage, so its
     # rows carry the run's crystal, pulse and fidelity.csv fields byte for byte
     config = small_config(tmp_path, **overrides)
-    artifacts = run_experiment(config)
-    expected = [row.split(",") for row in artifacts.fidelity_file.read_text().splitlines()[1:]]
     value = getattr(config, parameter)
     rows = [row.split(",") for row in sweep(config, parameter, [value]).splitlines()[1:]]
-    state, pulse = artifacts.state, artifacts.gate.spec
-    pair = "{}:{}".format(*json.loads(artifacts.phase_file.read_text())["pair"])
-    point = [f"{v:.17g}" for v in (value, state.rotation_frequency, state.anisotropy,
-                                   state.energy)]
-    gate = [pair, f"{pulse.carrier_frequency / (2 * np.pi):.17g}", f"{pulse.amplitude:.17g}"]
-    assert rows == [[*point, *gate, *row, "ok"] for row in expected]
+    assert rows == gate_run_rows(config, value)
 
 
 def test_sweep_thread_invariance(tmp_path):
@@ -373,7 +460,8 @@ def test_sweep_thread_invariance(tmp_path):
     for threads in ("1", "2"):
         env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # every row underflows at this slow-rotation point, so the verb exits 1
+        # at this slow-rotation point every gate is shorter than one period
+        # of its carrier, so every row is an error and the verb exits 1
         proc = subprocess.run([sys.executable, "-m", "penninggate.cli", "sweep", "--config",
                                str(cfg), "--parameter", "p_theta", "--grid", "0,1000,4000",
                                "--out", str(tmp_path / threads)], env=env, capture_output=True,
@@ -389,20 +477,22 @@ def test_sweep_thread_invariance(tmp_path):
 
 def test_sweep_records_per_point_failure(tmp_path):
     config = small_config(tmp_path)
-    # a carrier resonant with a mode makes calibration blow up per point; at
-    # 1 MHz F underflows to 0, at the mid-gap 3.88 MHz it does not
-    text = sweep(config, "nu_hz", [-1.0, 1e6, 3.88e6])
+    # a negative carrier is refused with its config; a 1 kHz carrier is
+    # slower than the gate; at 1 MHz F underflows to 0, at the mid-gap
+    # 3.88 MHz it does not
+    text = sweep(config, "nu_hz", [-1.0, 1e3, 1e6, 3.88e6])
     rows = [row.split(",") for row in text.splitlines()[1:]]
-    assert [row[-1] for row in rows] == ["error:ValueError"] + ["underflow"] * 3 + ["ok"] * 3
-    # the error row keeps the shared crystal's columns
-    assert rows[0][1:4] == rows[1][1:4] and rows[0][4:-1] == [""] * 7
-    assert all(row[8] == "0" for row in rows[1:4])
+    assert [row[-1] for row in rows] == (["error:config:ValueError", "error:gate:ValueError"]
+                                         + ["underflow"] * 3 + ["ok"] * 3)
+    # a config error has no crystal; a gate error keeps the shared crystal's columns
+    assert rows[0][1:-1] == [""] * 10
+    assert rows[1][1:4] == rows[2][1:4] and rows[1][4:-1] == [""] * 7
+    assert all(row[8] == "0" for row in rows[2:5])
 
 
 def test_whole_sweep_failures_carry_their_stage(tmp_path, monkeypatch):
-    # the p_theta sweep's first crystal and the crystal that nu_hz and
-    # tau_ratio points share serve every grid point, so their failures abort
-    # the sweep under their stage label
+    # a failing search is an error row, labelled with its stage, of every
+    # point that needs its crystal, whether the points share it or not
     from penninggate import bench
 
     def failing(*args, **kwargs):
@@ -411,13 +501,39 @@ def test_whole_sweep_failures_carry_their_stage(tmp_path, monkeypatch):
     monkeypatch.setattr(bench, "find_equilibrium", failing)
     config = small_config(tmp_path)
     for parameter in ("p_theta", "nu_hz"):
-        with pytest.raises(StageError, match=r"^\[equilibrium\] no equilibrium"):
-            sweep(config, parameter, [5000.0])
+        rows = sweep(config, parameter, [5000.0, 6000.0]).splitlines()[1:]
+        assert [row.split(",")[-1] for row in rows] == ["error:equilibrium:ValueError"] * 2
+        assert all(row.split(",")[1:-1] == [""] * 10 for row in rows)
+
+
+def test_points_that_share_trap_p_theta_and_budget_share_one_crystal(tmp_path, monkeypatch):
+    # the search and the modes run once per (trap, p_theta, search budget)
+    from penninggate import bench
+
+    calls = []
+
+    def counted(name):
+        original = getattr(bench, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in ("find_equilibrium", "williamson"):
+        monkeypatch.setattr(bench, name, counted(name))
+    config = small_config(tmp_path)
+    for parameter, grid, searches in (("tau_ratio", [0.006, 0.02], 1), ("nu_hz", [3.8e6, 3.9e6], 1),
+                                      ("sigma_fraction", [0.1, 0.125], 1), ("seed", [4, 5], 2),
+                                      ("p_theta", [5000.0, 6000.0], 2)):
+        calls.clear()
+        sweep(config, parameter, grid)
+        assert calls.count("find_equilibrium") == calls.count("williamson") == searches
 
 
 def test_sweep_rejects_bad_input(tmp_path):
     config = small_config(tmp_path)
-    for parameter in ("voltage", "T", "nu", "tau_g"):
+    for parameter in ("voltage", "T", "nu", "tau_g", "out_dir", "temperatures_k", "species"):
         with pytest.raises(ValueError, match="unknown sweep parameter"):
             sweep(config, parameter, [1.0])
     with pytest.raises(ValueError, match="empty sweep grid"):
@@ -448,26 +564,25 @@ def test_tau_ratio_sweep_monotone_curves_on_one_carrier(tmp_path):
         tau_ratio=0.1, temperatures_k=(1e-4, 1e-3, 1e-2), seed=7,
         out_dir=str(tmp_path),
     )
-    # the mid-gap carrier (32 kHz) makes fewer than one period in these gates,
-    # so F underflows on every row; a 5.9 MHz carrier keeps F > 0 on every row
-    # of the longer gates
-    for nu_hz, grid, status in (("auto-gap", [1e-1, 1e-2, 1e-3], "underflow"),
-                                (5.9e6, [4e-1, 2e-1, 1e-1], "ok")):
-        text = sweep(replace(config, nu_hz=nu_hz), "tau_ratio", grid)
-        rows = [line.split(",") for line in text.splitlines()[1:]]
-        assert len(rows) == 9 and all(row[-1] == status for row in rows)
-        assert all((float(row[8]) == 0.0) == (status == "underflow") for row in rows)
-        assert len({row[5] for row in rows}) == 1
-        if nu_hz != "auto-gap":
-            assert float(rows[0][5]) == nu_hz
-        by_ratio = {}
-        for row in rows:
-            by_ratio.setdefault(float(row[0]), []).append((float(row[7]), float(row[9])))
-        assert list(by_ratio) == grid
-        for ratio, curve in by_ratio.items():
-            curve.sort()
-            infidelities = [i for _, i in curve]
-            assert all(b >= a - 1e-15 for a, b in zip(infidelities, infidelities[1:]))
+    # the mid-gap carrier (32 kHz) makes fewer than one period in these
+    # gates, so each point is a gate error
+    text = sweep(config, "tau_ratio", [1e-1, 1e-2, 1e-3])
+    assert [line.split(",")[-1] for line in text.splitlines()[1:]] == (
+        ["error:gate:ValueError"] * 3)
+    # a 5.9 MHz carrier keeps F > 0 on every row of the longer gates
+    grid = [4e-1, 2e-1, 1e-1]
+    text = sweep(replace(config, nu_hz=5.9e6), "tau_ratio", grid)
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(rows) == 9 and all(row[-1] == "ok" and float(row[8]) > 0.0 for row in rows)
+    assert {float(row[5]) for row in rows} == {5.9e6}
+    by_ratio = {}
+    for row in rows:
+        by_ratio.setdefault(float(row[0]), []).append((float(row[7]), float(row[9])))
+    assert list(by_ratio) == grid
+    for ratio, curve in by_ratio.items():
+        curve.sort()
+        infidelities = [i for _, i in curve]
+        assert all(b >= a - 1e-15 for a, b in zip(infidelities, infidelities[1:]))
     # shorter gates are worse at every temperature
     curves = [sorted(curve) for _, curve in sorted(by_ratio.items())]
     assert all(s[1] > g[1] for short, long in zip(curves, curves[1:])
@@ -516,15 +631,19 @@ def test_cli_verbs(tmp_path):
 def test_cli_grid_forms(tmp_path, capsys):
     from penninggate.cli import _parse_grid, main
 
-    assert _parse_grid("1e-4,2e-3") == [1e-4, 2e-3]
-    assert _parse_grid("0:10:3") == [0.0, 5.0, 10.0]
-    assert _parse_grid("log:1e-4:1e-2:3") == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-15)
+    assert _parse_grid("1e-4,2e-3", float) == [1e-4, 2e-3]
+    assert _parse_grid("0:10:3", float) == [0.0, 5.0, 10.0]
+    assert _parse_grid("log:1e-4:1e-2:3", float) == pytest.approx([1e-4, 1e-3, 1e-2], rel=1e-15)
+    # each value is read by the swept field's parser
+    assert _parse_grid("20:40:3", int) == [20, 30, 40]
+    assert _parse_grid("1,2,3,11", int) == [1, 2, 3, 11]
     # a malformed grid names the flag, the value and the three forms
     cfg = tmp_path / "run.cfg"
     cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
-    for spec in ("1:2", "1e5:2e5:x", "1:2:3:4", "log:1:2", "log:0:1:3", "1,,2", "a,b",
-                 "1:2:0", ""):
-        assert main(["sweep", "--config", str(cfg), "--parameter", "tau_ratio",
+    for parameter, spec in [("tau_ratio", spec) for spec in (
+            "1:2", "1e5:2e5:x", "1:2:3:4", "log:1:2", "log:0:1:3", "1,,2", "a,b", "1:2:0", "")
+    ] + [("n_ions", "25.5"), ("n_ions", "20:40:4"), ("seed", "log:1:10:3")]:
+        assert main(["sweep", "--config", str(cfg), "--parameter", parameter,
                      "--grid", spec]) == 1
         assert capsys.readouterr().err == (
             f"error: --grid {spec!r}: expected v1,v2,... (a list), lo:hi:n (n linear steps) "

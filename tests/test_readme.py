@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from penninggate import parse_config
+from penninggate import load_state, parse_config
 from penninggate.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -73,14 +73,24 @@ def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in lines:
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
-    # the p_theta sweep crosses the paper's regime at three rotation frequencies
+    # the p_theta sweep crosses the paper's regime at three rotation
+    # frequencies; each point's rows are those of the gate run at its P_theta
     rows = [row.split(",") for row in
             (tmp_path / "runs" / "fig4" / "sweep_p_theta.csv").read_text().splitlines()[1:]]
-    at_1mk = [row for row in rows if float(row[7]) == 1e-3]
-    assert [float(row[0]) for row in at_1mk] == [1.3e5, 3e5, 1e6]
-    assert [float(row[2]) for row in at_1mk] == [pytest.approx(beta, rel=1e-6) for beta in
-                                                 (0.042875217196518101, 0.012230816864446381,
-                                                  0.0020097529579786721)]
-    assert [float(row[9]) for row in at_1mk] == [
-        pytest.approx(infidelity, rel=1e-6) for infidelity in
-        (1.2928494985242622e-05, 0.0067599782371791095, 5.2162707859904067e-05)]
+    assert [float(row[0]) for row in rows[::3]] == [1.3e5, 3e5, 1e6]
+    for row_block, p_theta in zip((rows[:3], rows[3:6], rows[6:]), ("1.3e5", "3e5", "1e6")):
+        out = tmp_path / f"gate-{p_theta}"
+        cfg = tmp_path / f"{p_theta}.cfg"
+        cfg.write_text(blocks[0].replace("p_theta = 1.3e5", f"p_theta = {p_theta}"))
+        assert main(["gate", "--config", str(cfg), "--out", str(out)]) == 0
+        state = load_state(out / "equilibrium.txt")
+        phase = json.loads((out / "phase.json").read_text())
+        header = dict(line.split(" = ") for line in
+                      (out / "equilibrium.txt").read_text().splitlines()[:5])
+        crystal = [header["omega_r_over_omega_c"], f"{state.anisotropy:.17g}", header["energy"]]
+        gate = ["{}:{}".format(*phase["pair"]), f"{phase['nu_hz']:.17g}",
+                f"{phase['amplitude']:.17g}"]
+        assert [row[1:7] for row in row_block] == [crystal + gate] * 3
+        assert [",".join(row[7:-1]) for row in row_block] == (
+            (out / "fidelity.csv").read_text().splitlines()[1:])
+        assert [row[-1] for row in row_block] == ["ok"] * 3
