@@ -25,8 +25,12 @@ SIGN_CONFIGS = {"00": (1.0, 1.0), "01": (1.0, -1.0), "10": (-1.0, 1.0), "11": (-
 # largest window-truncation bound, relative to max |G_k|, at which the
 # Gaussian carrier's phase kernel takes its closed form
 _CLOSED_FORM_RTOL = 1e-10
-# panel quadrature nodes per period of the fastest oscillation
+# phase-kernel quadrature nodes per period of the fastest oscillation
 _NODES_PER_PERIOD = 40
+# Gauss-Legendre nodes per panel
+_PANEL_ORDER = 16
+# largest phase of the carrier transform's top frequency across half a panel
+_TRANSFORM_HALF_PANEL_PHASE = 6.0
 # least sampled-profile density per modulation period
 _PROFILE_SAMPLES_PER_PERIOD = 40
 
@@ -121,13 +125,27 @@ class _Drive:
         return np.cos(self.nu * arg) * np.exp(-((arg / self.width) ** 2))
 
     def grid(self, omegas):
-        """Panels with _NODES_PER_PERIOD nodes on each period of the fastest of omegas and nu."""
+        """The phase kernel's panels: _NODES_PER_PERIOD nodes on each period
+        of the fastest of omegas and nu, which its within-panel interpolant
+        needs."""
         fastest = max(float(np.max(omegas)), self.nu)
-        return grid_for_frequencies(0.0, self.tau, fastest, _NODES_PER_PERIOD)
+        return grid_for_frequencies(0.0, self.tau, fastest, _NODES_PER_PERIOD, _PANEL_ORDER)
+
+    def transform_grid(self, omegas):
+        """The transform's panels.  Under the Gaussian envelope the integrand
+        c(t) exp(i omega t) oscillates at up to kappa = max(omega) + nu, and
+        the panels hold kappa's phase across half a panel to
+        _TRANSFORM_HALF_PANEL_PHASE, about 8.4 nodes per period of kappa.  A
+        sampled profile is not band-limited and keeps the kernel's grid."""
+        if self.samples is not None:
+            return self.grid(omegas)
+        kappa = float(np.max(omegas)) + self.nu
+        nodes_per_period = _PANEL_ORDER * math.pi / _TRANSFORM_HALF_PANEL_PHASE
+        return grid_for_frequencies(0.0, self.tau, kappa, nodes_per_period, _PANEL_ORDER)
 
     def transform(self, omegas, scale):
         """int_0^tau scale c(t) exp(i omega t) dt for each omega."""
-        grid = self.grid(omegas)
+        grid = self.transform_grid(omegas)
         return grid.fourier(scale * self(grid.flat_times), omegas)
 
     def kernel(self, omegas):
@@ -243,13 +261,18 @@ def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: Crystal
     Row r holds I_k = omega_k^(-1/2) * integral_0^tau exp(i omega_k t)
     alpha_k(t) dt with only ion ``spec.target_pair[r]``'s force and no qubit
     sign; linear in the amplitude.  The two ions differ only in their
-    coupling, so one grid and one drive integral serve both.
+    coupling, so one grid and one drive integral serve both.  Modes that
+    neither ion couples to (the axial block of a planar crystal) are exact
+    zeros and take no drive integral.
     """
     couplings = pair_couplings(spec, spectrum, state, setup)
     prefactor = _force_prefactor(spec, state, setup, amplitude=amplitude)
-    omegas = spectrum.frequencies
+    bright = np.any(couplings != 0.0, axis=0)
+    omegas = spectrum.frequencies[bright]
     integral = _Drive.of(spec, setup).transform(omegas, prefactor)
-    return couplings * integral / np.sqrt(omegas)
+    out = np.zeros(couplings.shape, dtype=complex)
+    out[:, bright] = couplings[:, bright] * integral / np.sqrt(omegas)
+    return out
 
 
 def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):

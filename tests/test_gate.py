@@ -194,9 +194,11 @@ def test_residual_displacement_linearity(gate_high, eq_high, spectrum_high, setu
     assert np.abs(zero).max() == 0.0
 
 
-def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000, monkeypatch):
-    # slow-rotation configuration: residuals are far above the rounding
-    # floor, so per-mode relative convergence is meaningful
+@pytest.fixture(scope="module")
+def slow_rotation_gate(eq_low_p4000):
+    """Spectrum and pulse at the slow-rotation point: nine carrier periods
+    under the window, so the default width tau/9 is one carrier period, the
+    widest envelope spectrum relative to its carrier in the suite."""
     from penninggate import build_hessian, williamson
 
     spectrum = williamson(build_hessian(eq_low_p4000))
@@ -208,16 +210,48 @@ def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000, mon
     tau_g = 3.05e-6
     spec = GateSpec(target_pair=pair, carrier_frequency=TWO_PI * 9 / tau_g,
                     gate_time=tau_g)
+    return spectrum, spec
+
+
+def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000, slow_rotation_gate,
+                                                    monkeypatch):
+    # slow-rotation configuration: residuals are far above the rounding
+    # floor, so per-mode relative convergence is meaningful
+    spectrum, spec = slow_rotation_gate
+    drive = gate._Drive.of(spec, setup_low)
+    coarse_nodes = drive.transform_grid(spectrum.frequencies).flat_times.size
     coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low,
                                    amplitude=1.0)[0]
-    monkeypatch.setattr(gate, "_NODES_PER_PERIOD", 80)
+    monkeypatch.setattr(gate, "_TRANSFORM_HALF_PANEL_PHASE", 0.5 * gate._TRANSFORM_HALF_PANEL_PHASE)
+    assert drive.transform_grid(spectrum.frequencies).flat_times.size > coarse_nodes
     fine = residual_displacement(spec, spectrum, eq_low_p4000, setup_low, amplitude=1.0)[0]
+    assert not np.array_equal(coarse, fine)
     # modes the drive does not reach (the axial block of this planar
     # crystal) have an exactly zero coupling, hence exactly zero residuals
     dark = fine == 0.0
     assert dark.any() and np.all(coarse[dark] == 0.0)
     rel = np.abs(coarse[~dark] - fine[~dark]) / np.abs(fine[~dark])
     assert rel.max() < 1e-8
+
+
+def test_residuals_of_modes_the_pair_does_not_reach_are_exact_zeros(
+        gate_high, eq_high, spectrum_high, bands_high, setup_high, monkeypatch):
+    # in a planar crystal the N axial modes have no in-plane coupling: their
+    # residuals are exact zeros, and the drive integral skips them
+    axial = np.array([label == "axial" for label in bands_high.labels])
+    assert axial.sum() == eq_high.n_ions
+    transformed = []
+    original = gate._Drive.transform
+
+    def recorded(drive, omegas, scale):
+        transformed.append(np.array(omegas))
+        return original(drive, omegas, scale)
+
+    monkeypatch.setattr(gate._Drive, "transform", recorded)
+    residuals = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
+    assert np.all(residuals[:, axial] == 0.0) and np.all(residuals[:, ~axial] != 0.0)
+    assert len(transformed) == 1
+    np.testing.assert_array_equal(transformed[0], spectrum_high.frequencies[~axial])
 
 
 def _per_ion_residual(spec, spectrum, state, setup, row, amplitude):
@@ -265,12 +299,28 @@ def test_drive_integral_matches_the_mpmath_closed_form(eq_high, spectrum_high, s
     wc = setup_high.cyclotron_frequency
     tau_r = TWO_PI / (eq_high.rotation_frequency * wc)
     spec = GateSpec(pair_high, resolve_carrier(bands_high) * wc, tau_ratio * tau_r)
-    drive = gate._Drive.of(spec, setup_high)
-    got = drive.transform(spectrum_high.frequencies, 1.0)
-    with mpmath.workdps(40):
-        expected = np.array([_windowed_carrier_transform(w, drive, mpmath)
-                             for w in spectrum_high.frequencies])
-    grid = drive.grid(spectrum_high.frequencies)
+    _assert_drive_integral_matches_mpmath(gate._Drive.of(spec, setup_high),
+                                          spectrum_high.frequencies, mpmath)
+
+
+def test_drive_integral_matches_the_mpmath_closed_form_at_slow_rotation(setup_low,
+                                                                         slow_rotation_gate):
+    # an envelope one carrier period wide spreads the integrand's spectrum
+    # well past omega + nu, yet the transform's phase budget on omega + nu
+    # still meets the bound
+    mpmath = pytest.importorskip("mpmath")
+    spectrum, spec = slow_rotation_gate
+    _assert_drive_integral_matches_mpmath(gate._Drive.of(spec, setup_low),
+                                          spectrum.frequencies, mpmath)
+
+
+def _assert_drive_integral_matches_mpmath(drive, omegas, mp):
+    """Every mode's transform is within 3e-14 sum |w c| of the 40-digit
+    closed form, sum |w c| taken over the transform's own nodes."""
+    got = drive.transform(omegas, 1.0)
+    with mp.workdps(40):
+        expected = np.array([_windowed_carrier_transform(w, drive, mp) for w in omegas])
+    grid = drive.transform_grid(omegas)
     scale = np.abs(grid.weights.reshape(-1) * drive(grid.flat_times)).sum()
     assert np.abs(got - expected).max() <= 3e-14 * scale
 

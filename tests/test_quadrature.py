@@ -1,10 +1,13 @@
 """Composite Gauss-Legendre panels: the panel-factored Fourier integral and
-phase kernel."""
+phase kernel, and the gate transform's panel rule."""
+
+import math
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
+from penninggate import gate
 from penninggate.quadrature import PanelGrid, grid_for_frequencies, panel_grid
 
 
@@ -82,3 +85,30 @@ def test_phase_kernel_exact_for_a_constant_drive():
     exact = (omegas * tau - np.sin(omegas * tau)) / omegas**2
     got = grid.phase_kernel(np.ones(grid.flat_times.size), omegas)
     np.testing.assert_allclose(got, exact, rtol=1e-12)
+
+
+def test_one_panel_integrates_the_transform_phase_budget_to_rounding():
+    # int_-1^1 exp(i kappa t) dt = 2 sin(kappa) / kappa: at the transform's
+    # half-panel phase budget one 16-node panel is exact to rounding, at
+    # 10 rad it is not
+    grid = panel_grid(-1.0, 1.0, 1)
+    budget = gate._TRANSFORM_HALF_PANEL_PHASE
+    for phase, exact_to_rounding in ((budget, True), (10.0, False)):
+        error = abs(grid.fourier(np.ones(grid.order), [phase])[0] - 2.0 * math.sin(phase) / phase)
+        assert (error / 2.0 <= 2e-15) == exact_to_rounding
+
+
+def test_transform_grid_holds_the_phase_budget_at_the_fig4_point(eq_high, spectrum_high,
+                                                                  bands_high, setup_high,
+                                                                  pair_high):
+    # at tau_g / tau_r = 0.2 the top frequency max(omega) + nu turns by at
+    # most 6 rad across half a panel, and by not much less
+    from penninggate.bench import resolve_carrier
+
+    wc = setup_high.cyclotron_frequency
+    tau_r = 2.0 * math.pi / (eq_high.rotation_frequency * wc)
+    spec = gate.GateSpec(pair_high, resolve_carrier(bands_high) * wc, 0.2 * tau_r)
+    drive = gate._Drive.of(spec, setup_high)
+    omegas = spectrum_high.frequencies
+    phase = (omegas.max() + drive.nu) * drive.transform_grid(omegas).half_widths.max()
+    assert 0.95 * 6.0 <= phase <= 6.0

@@ -55,8 +55,8 @@ def test_readme_fig4_tau_sweep_runs_on_the_gate_carrier(tmp_path):
     assert [",".join(row[7:-1]) for row in rows[:3]] == gate_rows
     at_1mk = [float(row[9]) for row in rows if float(row[7]) == 1e-3]
     assert at_1mk == [pytest.approx(value, rel=1e-6) for value in
-                      (1.2928538127177092e-05, 2.2754386639678437e-05,
-                       1.4951177702005047e-05, 1.2114258213680174e-05)]
+                      (1.2928518934418598e-05, 2.27586911166755e-05,
+                       1.4953665215644563e-05, 1.2109648955926922e-05)]
 
 
 def test_readme_command_block_runs_as_written(tmp_path, monkeypatch, capsys):
