@@ -23,7 +23,11 @@ frame.  Equilibria at fixed P_theta are found in three steps:
 
 A planar-class crystal (beta < beta_c(N)) is searched and refined in its
 d = 2 in-plane coordinates, any other in d = 3: the potentials, gradients
-and Hessians take positions of shape (N, d).
+and Hessians take positions of shape (N, d), or (K, N, d) for a stack of K
+candidates.  The refinement runs all candidates in lock-step, one Newton
+step of each per pass; each candidate's refined crystal is bit for bit the
+one it gets alone, since candidates that tie in reduced energy to the last
+ulp are common and their last bits pick the crystal that is kept.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ _MIN_SEPARATION = 1e-9
 _NEWTON_STEPS = 200  # Newton step budget of a refinement
 _GRAD_TOL = 1e-10    # gradient norm below which a refinement has converged
 _SEED_JITTER = 0.1   # seed jitter, in units of the virial lattice spacing
+_STACK_BYTES = 1 << 19  # Hessians of one lock-step Newton pass, within a core's L2 cache
 
 
 @dataclass(frozen=True)
@@ -61,16 +66,25 @@ class CrystalState:
         P_theta, energy and gradient norm that follow from them; in-plane
         (N, 2) positions are placed at z = 0."""
         positions = np.asarray(positions, dtype=float)
-        positions = np.pad(positions, ((0, 0), (0, 3 - positions.shape[1])))
         dist = _pair_distances(positions)
-        grad = _gradient(positions, _trap_curvature(alpha_r, axial_ratio, 3), dist**-3)
+        beta = beta_from_ratio(alpha_r, axial_ratio)
+        energy = _finite(_effective_potential(positions, beta, axial_ratio, dist))
+        return cls._held(positions, alpha_r, axial_ratio, dist**-3, energy, converged,
+                         refine_iterations)
+
+    @classmethod
+    def _held(cls, positions, alpha_r, axial_ratio, inv3, energy, converged, refine_iterations):
+        """``at`` from the inverse cubed pair distances and the energy of
+        ``positions``, which the caller already holds."""
+        positions = np.pad(positions, ((0, 0), (0, 3 - positions.shape[1])))
+        grad = _gradient(positions, _trap_curvature(alpha_r, axial_ratio, 3), inv3)
         return cls(
             positions=positions,
             axial_ratio=axial_ratio,
             rotation_frequency=alpha_r,
             angular_momentum=total_angular_momentum(positions, alpha_r),
             anisotropy=beta_from_ratio(alpha_r, axial_ratio),
-            energy=_effective_potential(positions, alpha_r, axial_ratio, dist),
+            energy=float(energy),
             converged=converged,
             gradient_norm=float(np.linalg.norm(grad)),
             refine_iterations=refine_iterations,
@@ -114,24 +128,43 @@ class AnnealSchedule:
 
 
 def _pair_distances(positions):
-    """Pair distances, shape (N, N), with infinity on the diagonal; summed
-    one axis at a time, which is cheaper than an (N, N, 3) difference."""
-    dist2 = (positions[:, None, 0] - positions[None, :, 0]) ** 2
-    for mu in range(1, positions.shape[1]):
-        dist2 += (positions[:, None, mu] - positions[None, :, mu]) ** 2
+    """Pair distances, shape (..., N, N) for positions (..., N, d), with
+    infinity on the diagonal; summed one axis at a time, which is cheaper
+    than an (..., N, N, d) difference."""
+    dist2 = (positions[..., :, None, 0] - positions[..., None, :, 0]) ** 2
+    for mu in range(1, positions.shape[-1]):
+        dist2 += (positions[..., :, None, mu] - positions[..., None, :, mu]) ** 2
     dist = np.sqrt(dist2)
-    np.fill_diagonal(dist, np.inf)
+    _diagonal(dist)[...] = np.inf
     return dist
 
 
-def _coulomb_energy(dist) -> float:
-    if dist.min(initial=np.inf) < _MIN_SEPARATION:
+def _diagonal(matrices):
+    """Writable view of the diagonal of each trailing (M, M) matrix."""
+    return np.einsum("...ii->...i", matrices)
+
+
+def _coulomb_energy(dist):
+    """Coulomb energy of each candidate's (N, N) pair distances, infinite
+    where two ions (nearly) coincide."""
+    dist = dist.reshape(*dist.shape[:-2], -1)
+    close = dist.min(axis=-1, initial=np.inf) < _MIN_SEPARATION
+    if not close.any():
+        return 0.5 * np.sum(1.0 / dist, axis=-1)
+    # no 1/0 is formed for a candidate whose ions coincide
+    energy = 0.5 * np.sum(1.0 / np.where(close[..., None], np.inf, dist), axis=-1)
+    return np.where(close, np.inf, energy)
+
+
+def _finite(energy) -> float:
+    """One candidate's energy, or a ValueError where its ions coincide."""
+    if energy == np.inf:
         raise ValueError("coincident ions: Coulomb energy singular")
-    return 0.5 * float(np.sum(1.0 / dist))
+    return float(energy)
 
 
 def coulomb_energy(positions) -> float:
-    return _coulomb_energy(_pair_distances(np.asarray(positions, dtype=float)))
+    return _finite(_coulomb_energy(_pair_distances(np.asarray(positions, dtype=float))))
 
 
 def _trap_curvature(alpha_r, axial_ratio, dim):
@@ -140,11 +173,12 @@ def _trap_curvature(alpha_r, axial_ratio, dim):
     return axial_ratio**2 * np.array([beta, beta, 1.0])[:dim]
 
 
-def _effective_potential(positions, alpha_r, axial_ratio, dist) -> float:
-    beta = beta_from_ratio(alpha_r, axial_ratio)
-    r2 = positions[:, 0] ** 2 + positions[:, 1] ** 2
-    z2 = positions[:, 2] ** 2 if positions.shape[1] == 3 else 0.0
-    trap = 0.5 * axial_ratio**2 * float(np.sum(z2 + beta * r2))
+def _effective_potential(positions, beta, axial_ratio, dist):
+    """Effective potential of each candidate at its anisotropy beta, of shape
+    (K, 1) for a stack of K; infinite where two ions coincide."""
+    r2 = positions[..., 0] ** 2 + positions[..., 1] ** 2
+    z2 = positions[..., 2] ** 2 if positions.shape[-1] == 3 else 0.0
+    trap = 0.5 * axial_ratio**2 * np.sum(z2 + beta * r2, axis=-1)
     return trap + _coulomb_energy(dist)
 
 
@@ -155,12 +189,14 @@ def effective_potential(positions, alpha_r, axial_ratio) -> float:
     positions of shape (N, 3) or in-plane positions of shape (N, 2).
     """
     positions = np.asarray(positions, dtype=float)
-    return _effective_potential(positions, alpha_r, axial_ratio, _pair_distances(positions))
+    return _finite(_effective_potential(positions, beta_from_ratio(alpha_r, axial_ratio),
+                                        axial_ratio, _pair_distances(positions)))
 
 
 def _gradient(positions, curvature, inv3):
     # sum_j (r_k - r_j) / d_kj^3
-    return positions * curvature - (inv3.sum(axis=1)[:, None] * positions - inv3 @ positions)
+    return (positions * curvature[..., None, :]
+            - (inv3.sum(axis=-1)[..., None] * positions - inv3 @ positions))
 
 
 def effective_potential_gradient(positions, alpha_r, axial_ratio):
@@ -170,19 +206,22 @@ def effective_potential_gradient(positions, alpha_r, axial_ratio):
     return _gradient(positions, curvature, _pair_distances(positions) ** -3)
 
 
-def _hessian(positions, curvature, dist, inv3):
-    n, dim = positions.shape
-    diff = positions[:, None, :] - positions[None, :, :]
+def _hessian(positions, curvature, dist, inv3, out=None):
+    *lead, n, dim = positions.shape
+    diff = [positions[..., :, None, a] - positions[..., None, :, a] for a in range(dim)]
     inv5 = dist**-5
-    hess = np.empty((n, dim, n, dim))
+    hess = np.empty((*lead, dim * n, dim * n)) if out is None else out
+    hess = hess.reshape(*lead, n, dim, n, dim)
     for a in range(dim):
         for b in range(a, dim):
-            block = (inv3 if a == b else 0.0) - 3.0 * (diff[..., a] * diff[..., b]) * inv5
+            block = (inv3 if a == b else 0.0) - 3.0 * (diff[a] * diff[b]) * inv5
             # the blocks are symmetric, so the column sums are the row sums
-            np.fill_diagonal(block, (curvature[a] if a == b else 0.0) - block.sum(axis=0))
-            hess[:, a, :, b] = block
-            hess[:, b, :, a] = block
-    return hess.reshape(dim * n, dim * n)
+            trap = curvature[..., a, None] if a == b else 0.0
+            _diagonal(block)[...] = trap - block.sum(axis=-2)
+            hess[..., :, a, :, b] = block
+            if a != b:
+                hess[..., :, b, :, a] = block
+    return hess.reshape(*lead, dim * n, dim * n)
 
 
 def effective_potential_hessian(positions, alpha_r, axial_ratio):
@@ -226,7 +265,7 @@ def _reduced_energy(positions, p_theta, axial_ratio, dist) -> float:
         return math.inf
     else:
         rot = p_theta**2 / (2.0 * inertia)
-    return trap + _coulomb_energy(dist) + rot
+    return trap + _finite(_coulomb_energy(dist)) + rot
 
 
 def reduced_energy(positions, p_theta, axial_ratio) -> float:
@@ -362,6 +401,174 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     return [search(lattice[:, :dim] + jitter[:, :dim]) for jitter in jitters]
 
 
+class _Refinement:
+    """One candidate's damped Newton refinement at fixed alpha_r, which
+    ``_refine_in_lockstep`` advances one step per pass; ``outcome`` is None
+    while it runs, then the refined state or the ValueError that stopped it."""
+
+    def __init__(self, positions, alpha_r, alpha_z):
+        self.alpha_r, self.alpha_z = alpha_r, alpha_z
+        self.beta = beta_from_ratio(alpha_r, alpha_z)
+        self.planar = stability_class(self.beta, len(positions)) is StabilityClass.PLANAR_2D
+        self.shift = 0.0
+        self.iterations = 0
+        self.outcome = None
+        pos = np.array(positions, dtype=float)
+        self.place(pos[:, :2].copy() if self.planar and not np.any(pos[:, 2]) else pos)
+
+    def place(self, pos):
+        # one pair-distance pass per position: an accepted trial's serve the next step
+        self.pos, self.dist = pos, _pair_distances(pos)
+        self.curvature = _trap_curvature(self.alpha_r, self.alpha_z, pos.shape[1])
+        self.energy = _effective_potential(pos, self.beta, self.alpha_z, self.dist)
+        if self.energy == np.inf:
+            self.outcome = ValueError("coincident ions: Coulomb energy singular")
+
+    def finish(self, converged, inv3):
+        """Stop at the current position, whose inverse cubed distances are
+        ``inv3``; the axial check of a converged planar crystal overwrites them."""
+        self.outcome = CrystalState._held(self.pos, self.alpha_r, self.alpha_z, inv3, self.energy,
+                                          converged, self.iterations)
+        if self.planar and converged:
+            # the axial block at z = 0: 1/d_kj^3 off the diagonal, alpha_z^2 - sum_j 1/d_kj^3 on it
+            axial = inv3
+            np.fill_diagonal(axial, self.alpha_z**2 - axial.sum(axis=1))
+            try:
+                np.linalg.cholesky(axial)
+            except np.linalg.LinAlgError:
+                n = len(axial)
+                self.outcome = ValueError(
+                    f"equilibrium: the planar crystal is a saddle along z: beta = {self.beta:.6g}, "
+                    f"beta_c = {beta_critical(n):.6g} at N = {n}, lowest axial eigenvalue "
+                    f"{np.linalg.eigvalsh(axial)[0]:.3e}")
+
+
+def _newton_pass(runs, grad_tol, stack):
+    """One Newton step of each of ``runs``, whose positions share one
+    dimension d: the elementwise work on (K, ...) stacks, the factorizations,
+    solves and dot products one candidate at a time where stacking would
+    move their last bits.  The Hessians are formed in ``stack``, of at least
+    K dN x dN matrices."""
+    from scipy.linalg.lapack import dpotrs  # the solver of scipy.linalg.cho_solve
+
+    dim, alpha_z = runs[0].pos.shape[1], runs[0].alpha_z
+    pos = np.array([run.pos for run in runs])
+    dist = np.array([run.dist for run in runs])
+    beta = np.array([[run.beta] for run in runs])
+    curvature = np.array([run.curvature for run in runs])
+    inv3 = dist**-3
+    grad = _gradient(pos, curvature, inv3).reshape(len(runs), -1)
+    stepping = []
+    for k, run in enumerate(runs):
+        converged = float(np.linalg.norm(grad[k])) < grad_tol
+        if converged and run.planar and dim == 3:
+            # a start off the plane has relaxed onto it: finish in the plane
+            run.place(run.pos[:, :2].copy())
+        elif converged or run.iterations == _NEWTON_STEPS:
+            run.finish(converged, inv3[k])
+        else:
+            stepping.append(k)
+    if len(stepping) < len(runs):
+        runs = [runs[k] for k in stepping]
+        pos, dist, inv3, grad, curvature, beta = (
+            array[stepping] for array in (pos, dist, inv3, grad, curvature, beta))
+    if not runs:
+        return
+
+    hess = _hessian(pos, curvature, dist, inv3, stack[:len(runs)])
+    count, size = grad.shape
+    scale = np.abs(_diagonal(hess)).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    # (1 - t t^T) H (1 - t t^T), with curvature `scale` along the rotation direction t
+    axis = np.zeros_like(pos)
+    axis[..., 0], axis[..., 1] = -pos[..., 1], pos[..., 0]
+    axis = axis.reshape(count, size)
+    ht, along = np.zeros_like(axis), np.zeros(count)
+    for k in range(count):
+        if axis[k] @ axis[k] > 0.0:
+            axis[k] /= np.linalg.norm(axis[k])
+            ht[k] = hess[k] @ axis[k]
+            along[k] = axis[k] @ ht[k] + scale[k]
+    hess -= (axis[:, :, None] * (ht - along[:, None] * axis)[:, None, :]
+             + ht[:, :, None] * axis[:, None, :])
+
+    # a Levenberg shift where H is not positive definite; it carries over to
+    # the next step, a tenth smaller
+    shifted = _diagonal(hess)
+    diagonal = shifted.copy()
+    step, slope = np.empty_like(grad), np.zeros(count)
+    for k, run in enumerate(runs):
+        for _ in range(30):
+            try:
+                shifted[k] = diagonal[k] + run.shift
+                chol = np.linalg.cholesky(hess[k])
+                break
+            except np.linalg.LinAlgError:
+                run.shift = max(2.0 * run.shift, 1e-12 * scale[k]) * 10.0
+        else:
+            run.finish(False, inv3[k])
+            continue
+        step[k] = dpotrs(chol, -grad[k], lower=1)[0]
+        run.shift = 0.1 * run.shift if run.shift > 1e-11 * scale[k] else 0.0
+        slope[k] = grad[k] @ step[k]
+    left = np.array([k for k, run in enumerate(runs) if run.outcome is None], dtype=int)
+
+    # backtracking line search: each candidate halves its own step length t
+    step = step.reshape(pos.shape)
+    energy = np.array([run.energy for run in runs])
+    if len(left) < count:
+        pos, step, beta, energy, slope = (a[left] for a in (pos, step, beta, energy, slope))
+    t = np.ones(len(left))
+    for _ in range(40):
+        if not len(left):
+            return
+        trial = pos + t[:, None, None] * step
+        tdist = _pair_distances(trial)
+        etrial = _effective_potential(trial, beta, alpha_z, tdist)
+        accepted = etrial <= energy + 1e-4 * t * slope
+        if accepted.any():
+            for j in np.flatnonzero(accepted):
+                run = runs[left[j]]
+                run.pos, run.dist, run.energy = trial[j], tdist[j], etrial[j]
+                run.iterations += 1
+            if accepted.all():
+                return
+            rejected = ~accepted
+            left, pos, step, beta, energy, slope, t = (
+                a[rejected] for a in (left, pos, step, beta, energy, slope, t))
+        t *= 0.5
+    for k in left:
+        runs[k].finish(False, inv3[k])
+
+
+def _refine_in_lockstep(starts, alpha_rs, alpha_z, grad_tol=_GRAD_TOL):
+    """``newton_refine`` of each start (N, 3) at its own alpha_r, all in one
+    loop: every pass advances each unfinished candidate by one step, in
+    groups of one dimension and of at most ``_STACK_BYTES`` of Hessians.
+    Each candidate keeps its own shift, step length, step budget and snap to
+    the plane, and its outcome (the refined state, or the ValueError that
+    stopped it) is bit for bit the one it gets refined alone.  Returns the
+    outcomes in start order."""
+    runs = [_Refinement(pos, alpha_r, alpha_z) for pos, alpha_r in zip(starts, alpha_rs)]
+    # one Hessian stack per dimension, which every pass reuses: Hessians formed
+    # and freed pass by pass let the allocator hand their memory back to the
+    # system and fault it in again (8,231 page faults in a lone N = 100
+    # refinement, none with the reused stack)
+    stacks = {}
+    while live := [run for run in runs if run.outcome is None]:
+        for dim in (2, 3):
+            group = [run for run in live if run.pos.shape[1] == dim]
+            if not group:
+                continue
+            size = group[0].pos.size
+            per_pass = max(1, _STACK_BYTES // (8 * size**2))
+            if dim not in stacks:
+                stacks[dim] = np.empty((min(per_pass, len(runs)), size, size))
+            for first in range(0, len(group), per_pass):
+                _newton_pass(group[first:first + per_pass], grad_tol, stacks[dim])
+    return [run.outcome for run in runs]
+
+
 def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
     """Damped Newton minimization of the effective potential at fixed alpha_r.
 
@@ -375,85 +582,15 @@ def newton_refine(candidate: CrystalState, grad_tol=_GRAD_TOL) -> CrystalState:
     start off the plane (a warm start from a 3D crystal, whose ions may
     overlap in projection) first converges in all 3N.  A converged planar
     crystal must be a minimum along z as well: one Cholesky of the N x N
-    axial Hessian block, which decouples at z = 0, or a ValueError.
+    axial Hessian block, which decouples at z = 0, or a ValueError.  This is
+    the one-candidate case of the lock-step refinement that
+    ``find_equilibrium`` runs on all its search candidates.
     """
-    from scipy.linalg import cho_solve
-
-    alpha_r = candidate.rotation_frequency
-    alpha_z = candidate.axial_ratio
-    n = candidate.n_ions
-    planar = stability_class(beta_from_ratio(alpha_r, alpha_z), n) is StabilityClass.PLANAR_2D
-    pos = candidate.positions.copy()
-    if planar and not np.any(pos[:, 2]):
-        pos = pos[:, :2].copy()
-    # one pair-distance pass per position: the accepted trial's serves the next step
-    dist = _pair_distances(pos)
-    energy = _effective_potential(pos, alpha_r, alpha_z, dist)
-    shift = 0.0
-    iterations = 0
-    while True:
-        curvature = _trap_curvature(alpha_r, alpha_z, pos.shape[1])
-        inv3 = dist**-3
-        gflat = _gradient(pos, curvature, inv3).reshape(-1)
-        converged = float(np.linalg.norm(gflat)) < grad_tol
-        if converged and planar and pos.shape[1] == 3:
-            # a start off the plane has relaxed onto it: finish in the plane
-            pos = pos[:, :2].copy()
-            dist = _pair_distances(pos)
-            energy = _effective_potential(pos, alpha_r, alpha_z, dist)
-            continue
-        if converged or iterations == _NEWTON_STEPS:
-            break
-        hess = _hessian(pos, curvature, dist, inv3)
-        scale = float(np.abs(np.diag(hess)).max()) or 1.0
-        axis = np.stack([-pos[:, 1], pos[:, 0], np.zeros(n)][:pos.shape[1]], axis=1).ravel()
-        if axis @ axis > 0.0:
-            # (1 - t t^T) H (1 - t t^T), with curvature `scale` along t
-            axis = axis / np.linalg.norm(axis)
-            ht = hess @ axis
-            hess -= np.outer(axis, ht - (axis @ ht + scale) * axis) + np.outer(ht, axis)
-        diagonal = np.diag(hess).copy()
-        for _ in range(30):
-            try:
-                np.fill_diagonal(hess, diagonal + shift)
-                chol = np.linalg.cholesky(hess)
-                break
-            except np.linalg.LinAlgError:
-                shift = max(2.0 * shift, 1e-12 * scale) * 10.0
-        else:
-            break
-        step = cho_solve((chol, True), -gflat).reshape(pos.shape)
-        shift = 0.1 * shift if shift > 1e-11 * scale else 0.0
-        slope = float(gflat @ step.reshape(-1))
-        t = 1.0
-        for _ in range(40):
-            trial = pos + t * step
-            tdist = _pair_distances(trial)
-            try:
-                etrial = _effective_potential(trial, alpha_r, alpha_z, tdist)
-            except ValueError:
-                etrial = math.inf
-            if etrial <= energy + 1e-4 * t * slope:
-                break
-            t *= 0.5
-        else:
-            break
-        pos, energy, dist = trial, etrial, tdist
-        iterations += 1
-
-    if planar and converged:
-        # the axial block at z = 0: 1/d_kj^3 off the diagonal, alpha_z^2 - sum_j 1/d_kj^3 on it
-        axial = inv3
-        np.fill_diagonal(axial, alpha_z**2 - axial.sum(axis=1))
-        try:
-            np.linalg.cholesky(axial)
-        except np.linalg.LinAlgError:
-            raise ValueError(
-                f"equilibrium: the planar crystal is a saddle along z: beta = "
-                f"{beta_from_ratio(alpha_r, alpha_z):.6g}, beta_c = {beta_critical(n):.6g} at "
-                f"N = {n}, lowest axial eigenvalue {np.linalg.eigvalsh(axial)[0]:.3e}") from None
-    # refinement runs at fixed alpha_r; the state's P_theta follows the positions
-    return CrystalState.at(pos, alpha_r, alpha_z, converged, iterations)
+    (outcome,) = _refine_in_lockstep([candidate.positions], [candidate.rotation_frequency],
+                                     candidate.axial_ratio, grad_tol)
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = AnnealSchedule(),
@@ -464,14 +601,15 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = Annea
     (``anneal`` with ``schedule``, by default 12 starts of at most 1000
     L-BFGS iterations from seed 0), refines every candidate to a gradient
     norm below ``_GRAD_TOL`` and returns the refined crystal of lowest
-    reduced energy; candidates whose refinement fails are skipped.
+    reduced energy; candidates whose refinement fails are skipped, and when
+    all fail the error names the last failure in start order.
     The refinement is Newton at fixed rotation frequency inside a scalar
     root-find for the rotation frequency whose refined configuration carries
     the requested P_theta; its inner minimizations are warm-started with the
-    exact planar scaling positions ~ beta^(-1/3).  Planar-class crystals are
-    searched and refined in their 2N in-plane coordinates and come back with
-    z exactly 0; a candidate that converges in the plane on a saddle along z
-    is one whose refinement fails.
+    exact planar scaling positions ~ beta^(-1/3), and all candidates step
+    together.  Planar-class crystals are searched and refined in their 2N
+    in-plane coordinates and come back with z exactly 0; a candidate that
+    converges in the plane on a saddle along z is one whose refinement fails.
     """
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0
@@ -482,14 +620,10 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = Annea
     else:
         seeds = [c.positions for c in anneal(setup, target, schedule)]
 
-    solved, failure = [], None
-    for seed in seeds:
-        try:
-            solved.append(_solve_at_fixed_ptheta(seed, target, alpha_z))
-        except (RuntimeError, ValueError) as exc:
-            failure = exc
+    outcomes = _solve_at_fixed_ptheta(seeds, target, alpha_z)
+    solved = [state for state in outcomes if isinstance(state, CrystalState)]
     if not solved:
-        raise RuntimeError(f"no search candidate could be refined ({failure})")
+        raise RuntimeError(f"no search candidate could be refined ({outcomes[-1]})")
     final = min(solved, key=lambda state: reduced_energy(state.positions, target, alpha_z))
 
     if mirror:
@@ -513,56 +647,85 @@ def _implied_anisotropy(positions, alpha_z):
     return max(coulomb_energy(positions) / (alpha_z**2 * inertia), 1e-300)
 
 
-def _solve_at_fixed_ptheta(seed_positions, target, alpha_z):
-    """Outer solve: rotation frequency whose refined crystal carries P_theta.
+def _solve_at_fixed_ptheta(seeds, target, alpha_z):
+    """Outer solve: per seed, the rotation frequency whose refined crystal
+    carries P_theta.
 
-    One loop over one (positions, beta) pair, starting from the seed at its
-    virial anisotropy: a closed-form solve of the scaling model
-    I(beta) = I_a (beta_a / beta)^(2/3) anchored on the pair picks the next
-    alpha_r, the positions are rescaled by (beta_a / beta)^(1/3) and Newton
-    refinement at that alpha_r gives the next pair.  For planar crystals the
-    model is exact, so the iteration converges in a couple of refinements.
-    P_theta = 0 is the one-refinement case alpha_r = 1/2.  The returned
-    state's ``refine_iterations`` counts the Newton steps of every refinement.
+    Each seed runs one loop over one (positions, beta) pair, starting from
+    the seed at its virial anisotropy: a closed-form solve of the scaling
+    model I(beta) = I_a (beta_a / beta)^(2/3) anchored on the pair picks the
+    next alpha_r, the positions are rescaled by (beta_a / beta)^(1/3) and
+    Newton refinement at that alpha_r gives the next pair.  For planar
+    crystals the model is exact, so the iteration converges in a couple of
+    refinements.  P_theta = 0 is the one-refinement case alpha_r = 1/2.  Each
+    round refines every unmatched seed in one ``_refine_in_lockstep``.
+    Returns per seed, in seed order, its matched state, whose
+    ``refine_iterations`` counts the Newton steps of every refinement, or
+    the RuntimeError or ValueError that stopped it.
     """
+    positions = [np.array(seed, dtype=float) for seed in seeds]
+    outcomes, betas, steps = [None] * len(seeds), [None] * len(seeds), [0] * len(seeds)
+    for i, pos in enumerate(positions):
+        try:
+            betas[i] = _implied_anisotropy(pos, alpha_z)
+        except ValueError as exc:
+            outcomes[i] = exc
+    for _ in range(80):
+        active, alphas = [], []
+        for i in (i for i, outcome in enumerate(outcomes) if outcome is None):
+            try:
+                alpha_r = _next_rotation_frequency(positions[i], betas[i], target, alpha_z)
+            except (RuntimeError, ValueError) as exc:
+                outcomes[i] = exc
+                continue
+            beta_next = beta_from_ratio(alpha_r, alpha_z)
+            if beta_next != betas[i]:
+                positions[i] = positions[i] * (betas[i] / beta_next) ** (1.0 / 3.0)
+            active.append(i)
+            alphas.append(alpha_r)
+        if not active:
+            break
+        refined = _refine_in_lockstep([positions[i] for i in active], alphas, alpha_z)
+        for i, alpha_r, state in zip(active, alphas, refined):
+            if isinstance(state, ValueError):
+                outcomes[i] = state
+            elif not state.converged:
+                outcomes[i] = RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
+            else:
+                steps[i] += state.refine_iterations
+                positions[i], betas[i] = state.positions, state.anisotropy
+                if abs(state.angular_momentum - target) <= 1e-10 * max(target, 1.0):
+                    outcomes[i] = replace(state, refine_iterations=steps[i])
+    return [RuntimeError("angular-momentum matching did not converge") if outcome is None
+            else outcome for outcome in outcomes]
+
+
+def _next_rotation_frequency(positions, beta, target, alpha_z):
+    """The alpha_r at which the scaling model anchored on (positions, beta)
+    carries ``target``, each step within a bounded anisotropy move."""
     from scipy.optimize import brentq
 
     beta_max = beta_from_ratio(0.5, alpha_z)
-    positions = np.array(seed_positions, dtype=float)
-    beta = _implied_anisotropy(positions, alpha_z)
-    steps = 0
-    for _ in range(80):
-        if target == 0.0:
-            s_next = 0.0
+    if target == 0.0:
+        s_next = 0.0
+    else:
+        inertia = float(np.sum(positions[:, 0] ** 2 + positions[:, 1] ** 2))
+
+        def model(s):
+            ratio = beta / (beta_max - s**2 / alpha_z**2)
+            return inertia * ratio ** (2.0 / 3.0) * s - target
+
+        s_max = alpha_z * math.sqrt(beta_max) * (1.0 - 1e-12)
+        lo = alpha_z * math.sqrt(max(beta_max - min(beta * 64.0, beta_max), 0.0))
+        hi = min(alpha_z * math.sqrt(beta_max - beta / 64.0), s_max)
+        lo = min(max(lo, 1e-300), hi)
+        if model(lo) >= 0.0:
+            s_next = lo
+        elif model(hi) <= 0.0:
+            s_next = hi
         else:
-            inertia = float(np.sum(positions[:, 0] ** 2 + positions[:, 1] ** 2))
-
-            def model(s):
-                ratio = beta / (beta_max - s**2 / alpha_z**2)
-                return inertia * ratio ** (2.0 / 3.0) * s - target
-
-            s_max = alpha_z * math.sqrt(beta_max) * (1.0 - 1e-12)
-            # keep each step within a bounded anisotropy move from the anchor
-            lo = alpha_z * math.sqrt(max(beta_max - min(beta * 64.0, beta_max), 0.0))
-            hi = min(alpha_z * math.sqrt(beta_max - beta / 64.0), s_max)
-            lo = min(max(lo, 1e-300), hi)
-            if model(lo) >= 0.0:
-                s_next = lo
-            elif model(hi) <= 0.0:
-                s_next = hi
-            else:
-                s_next = brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
-        alpha_r = 0.5 - s_next
-        beta_next = beta_from_ratio(alpha_r, alpha_z)
-        if beta_next <= 0.0:
-            raise ValueError("rotation frequency outside the confined window")
-        if beta_next != beta:
-            positions = positions * (beta / beta_next) ** (1.0 / 3.0)
-        state = newton_refine(CrystalState.at(positions, alpha_r, alpha_z))
-        if not state.converged:
-            raise RuntimeError(f"Newton refinement failed at alpha_r = {alpha_r}")
-        steps += state.refine_iterations
-        positions, beta = state.positions, state.anisotropy
-        if abs(state.angular_momentum - target) <= 1e-10 * max(target, 1.0):
-            return replace(state, refine_iterations=steps)
-    raise RuntimeError("angular-momentum matching did not converge")
+            s_next = brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+    alpha_r = 0.5 - s_next
+    if beta_from_ratio(alpha_r, alpha_z) <= 0.0:
+        raise ValueError("rotation frequency outside the confined window")
+    return alpha_r

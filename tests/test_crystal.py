@@ -203,7 +203,8 @@ def test_planar_pair_refines_in_the_plane(small_pair_setup, monkeypatch):
     original = crystal._hessian
 
     def recorded(positions, *args):
-        shapes.append(np.shape(positions))
+        # the lock-step refinement stacks its candidates on a leading axis
+        shapes.append(np.shape(positions)[-2:])
         return original(positions, *args)
 
     monkeypatch.setattr(crystal, "_hessian", recorded)
@@ -234,26 +235,120 @@ def test_planar_class_forced_on_a_3d_point_fails_the_axial_check(beryllium, monk
 
 
 def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
+    # each round of the outer P_theta solve is one lock-step refinement
     from penninggate import crystal
 
     steps = []
-    original = crystal.newton_refine
+    original = crystal._refine_in_lockstep
 
-    def counted(candidate, **kwargs):
-        state = original(candidate, **kwargs)
+    def counted(*args, **kwargs):
+        (state,) = original(*args, **kwargs)
         steps.append(state.refine_iterations)
-        return state
+        return [state]
 
-    monkeypatch.setattr(crystal, "newton_refine", counted)
+    monkeypatch.setattr(crystal, "_refine_in_lockstep", counted)
     state = find_equilibrium(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=7))
     assert len(steps) >= 2
     assert state.refine_iterations == sum(steps)
 
 
+def state_bytes(state):
+    numbers = (state.rotation_frequency, state.angular_momentum, state.anisotropy, state.energy,
+               state.gradient_norm)
+    return (state.positions.tobytes(), [float(x).hex() for x in numbers], state.converged,
+            state.refine_iterations)
+
+
+def same_outcome(a, b):
+    """Byte equality of two refinement outcomes: states, or errors."""
+    if isinstance(a, Exception) or isinstance(b, Exception):
+        return type(a) is type(b) and str(a) == str(b)
+    return state_bytes(a) == state_bytes(b)
+
+
+@pytest.mark.parametrize("n_ions, p_theta, seed", [(30, 1.3e5, 11), (8, 2000.0, 3)])
+def test_each_seed_solved_alone_equals_its_row_of_the_lockstep_batch(beryllium, n_ions,
+                                                                    p_theta, seed):
+    # the fig4 search, and a 3D one whose candidates refine in all 3N coordinates
+    from penninggate import crystal
+
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, n_ions)
+    seeds = [c.positions for c in anneal(setup, p_theta, AnnealSchedule(seed=seed))]
+    batch = crystal._solve_at_fixed_ptheta(seeds, p_theta, 0.02)
+    alone = [crystal._solve_at_fixed_ptheta([start], p_theta, 0.02)[0] for start in seeds]
+    assert len(batch) == 12 and all(isinstance(state, CrystalState) for state in batch)
+    assert all(map(same_outcome, batch, alone))
+    assert {state.positions[:, 2].any() for state in batch} == {n_ions == 8}
+
+
+def test_a_lockstep_batch_refines_in_the_plane_and_in_space_as_alone(setup_high, eq_high):
+    # the fig4 candidates in the plane, next to a planar crystal lifted off
+    # it, which relaxes in 3N coordinates and then snaps to the plane
+    from penninggate import crystal
+
+    candidates = anneal(setup_high, 1.3e5, AnnealSchedule(seed=11))
+    lifted = eq_high.positions.copy()
+    lifted[:, 2] = 1e-7 * np.random.default_rng(2).standard_normal(eq_high.n_ions)
+    starts = [c.positions for c in candidates] + [lifted]
+    alphas = [c.rotation_frequency for c in candidates] + [eq_high.rotation_frequency]
+    batch = crystal._refine_in_lockstep(starts, alphas, 0.02)
+    alone = [newton_refine(CrystalState.at(start, alpha_r, 0.02))
+             for start, alpha_r in zip(starts, alphas)]
+    assert all(state.converged for state in batch)
+    assert all(map(same_outcome, batch, alone))
+    assert np.all(batch[-1].positions[:, 2] == 0.0)
+
+
+def test_a_failing_candidate_leaves_its_batch_mates_unchanged(beryllium, monkeypatch):
+    from penninggate import crystal
+    from penninggate.scales import beta_from_ratio
+
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
+    candidates = anneal(setup, 2000.0, AnnealSchedule(seed=3))
+    starts = [c.positions for c in candidates]
+    alphas = [c.rotation_frequency for c in candidates]
+    clean = crystal._refine_in_lockstep(starts, alphas, 0.02)
+    # a start with two coincident ions fails before its first step; candidate
+    # 2, taken for planar-class, relaxes in space, drops onto the plane and
+    # fails there, passes after its batch-mates began
+    coincident = starts[0].copy()
+    coincident[1] = coincident[0]
+    forced = beta_from_ratio(alphas[2], 0.02)
+    classify = crystal.stability_class
+    monkeypatch.setattr(crystal, "stability_class", lambda beta, n: (
+        StabilityClass.PLANAR_2D if beta == forced else classify(beta, n)))
+    mixed = crystal._refine_in_lockstep(starts[:5] + [coincident] + starts[5:],
+                                        alphas[:5] + alphas[:1] + alphas[5:], 0.02)
+    assert str(mixed.pop(5)) == "coincident ions: Coulomb energy singular"
+    assert isinstance(mixed[2], ValueError) and isinstance(clean[2], CrystalState)
+    assert all(same_outcome(a, b) for k, (a, b) in enumerate(zip(mixed, clean)) if k != 2)
+
+
+def test_the_search_failure_names_the_last_candidate_in_start_order(beryllium, monkeypatch):
+    # the coincident seed fails first, the planar saddle a refinement later;
+    # the message names the one that comes last among the starts
+    from types import SimpleNamespace
+
+    from penninggate import crystal
+
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
+    monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.PLANAR_2D)
+    saddle = anneal(setup, 2000.0, AnnealSchedule(cycles=1, seed=3))[0].positions
+    coincident = saddle.copy()
+    coincident[1] = coincident[0]
+    for order, last in (((coincident, saddle), "saddle along z"),
+                        ((saddle, coincident), "coincident ions")):
+        monkeypatch.setattr(crystal, "anneal", lambda *args, order=order: [
+            SimpleNamespace(positions=positions) for positions in order])
+        with pytest.raises(RuntimeError, match=rf"^no search candidate could be refined "
+                                               rf"\(.*{last}"):
+            find_equilibrium(setup, 2000.0)
+
+
 def test_newton_refine_forms_the_pair_distances_once_per_position(setup_high, monkeypatch):
-    # one pass for the start, one per line-search trial (this candidate takes
-    # every full step) and one for the returned state; the accepted trial's
-    # distances serve the next gradient and Hessian
+    # one pass for the start and one per line-search trial (this candidate
+    # takes every full step); the accepted trial's distances serve the next
+    # gradient and Hessian, and the returned state
     from penninggate import crystal
 
     candidate = anneal(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=3))[0]
@@ -267,7 +362,7 @@ def test_newton_refine_forms_the_pair_distances_once_per_position(setup_high, mo
     monkeypatch.setattr(crystal, "_pair_distances", counted)
     refined = newton_refine(candidate)
     assert refined.converged and refined.refine_iterations > 5
-    assert len(passes) == refined.refine_iterations + 2
+    assert len(passes) == refined.refine_iterations + 1
 
 
 def test_min_excitation_matches_finite_difference_pipeline(eq_low_p0):
