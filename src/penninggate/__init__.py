@@ -35,7 +35,6 @@ from .modes import (
     QuadraticHamiltonian,
     build_hessian,
     classify_bands,
-    orthogonal_modes,
     williamson,
 )
 
@@ -50,10 +49,7 @@ from .gate import (  # noqa: E402
     calibrated_phase,
     fidelity,
     fidelity_curve,
-    force_profile,
-    form_factors,
     laser_resources,
-    mode_drive,
     residual_displacement,
     two_qubit_phase,
 )

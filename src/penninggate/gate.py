@@ -171,6 +171,13 @@ class _Drive:
         outside the window of the centred envelope and
         |C(w)| = (sqrt(pi) sigma / 2)(e^(-(w-nu)^2 sigma^2/4) + e^(-(w+nu)^2 sigma^2/4))
         the carrier's Fourier magnitude.
+
+        In the long-gate limit sigma -> infinity, G / int c^2 dt tends to
+        w / (w^2 - nu^2), its relative error falling as 1/sigma^2.  So
+        G / (2 hbar~ w int exp(-2 (t - t_c)^2 / sigma^2) dt) tends to the
+        orthogonal-mode coefficients of the pair phase: the modulated
+        -1/(4 hbar~ (nu^2 - w^2)) for a fast carrier, where cos^2 averages
+        to 1/2, and the adiabatic 1/(2 hbar~ w^2) at nu = 0.
         """
         sigma, nu = self.width, self.nu
         x = np.asarray(omegas, dtype=float) * sigma / math.sqrt(2.0)
@@ -209,23 +216,6 @@ def _force_prefactor(spec: GateSpec, state, setup, amplitude=None):
     return amp * scales.hbar_tilde * omega_xy / dist
 
 
-def force_profile(t, spec: GateSpec, state: CrystalState, setup: TrapSetup):
-    """Dimensionless force vectors on all ions at physical time t.
-
-    Equal forces along the in-plane pair separation on the two target ions,
-    zero elsewhere; the qubit-state signs enter downstream.
-    """
-    if not 0.0 <= t <= spec.gate_time:
-        raise ValueError("time outside the gate window")
-    unit, _ = _pair_geometry(state, spec.target_pair)
-    magnitude = _force_prefactor(spec, state, setup) * _Drive.of(spec, setup)(
-        np.asarray(t * setup.cyclotron_frequency)
-    )
-    out = np.zeros((state.n_ions, 3))
-    out[list(spec.target_pair), :2] = magnitude * unit
-    return out
-
-
 def pair_couplings(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState, setup: TrapSetup):
     """Per-mode complex coupling of the driven ions, shape (2, 3N), row r for
     ion ``spec.target_pair[r]``; includes the 1/sqrt(2 hbar~) normalization
@@ -237,21 +227,6 @@ def pair_couplings(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState, 
     rows = spectrum.position_coefficients().T
     x = 3 * np.asarray(spec.target_pair)
     return (unit[0] * rows[x] + unit[1] * rows[x + 1]) / math.sqrt(2.0 * scales.hbar_tilde)
-
-
-def mode_drive(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-               setup: TrapSetup, qubit_signs=(1.0, 1.0)):
-    """Evaluator t(s) -> per-mode drive amplitudes alpha_k(t) for one qubit
-    sign configuration; times in seconds, output shape (3N, len(t))."""
-    weights = np.asarray(qubit_signs) @ pair_couplings(spec, spectrum, state, setup)
-    drive = _Drive.of(spec, setup)
-    prefactor = _force_prefactor(spec, state, setup)
-
-    def evaluate(times):
-        tt = np.atleast_1d(np.asarray(times, dtype=float)) * setup.cyclotron_frequency
-        return weights[:, None] * (prefactor * drive(tt))[None, :]
-
-    return evaluate
 
 
 def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
@@ -384,35 +359,6 @@ def fidelity_curve(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
             in zip(temps, fidelity(res1, res2, amp, spectrum, temps, setup))]
 
 
-def form_factors(frequencies, modes_matrix, regime, hbar_tilde, nu=None):
-    """Pulse-shape independent two-particle form factors on orthogonal modes.
-
-    ``regime`` is one of ``adiabatic``, ``modulated``, ``modulated-expansion``;
-    the modulated forms need the carrier nu (same frequency units as the mode
-    frequencies).  Returns the full coefficient matrix over coordinate pairs.
-    """
-    omegas = np.asarray(frequencies, dtype=float)
-    m = np.asarray(modes_matrix, dtype=float)
-    if regime == "adiabatic":
-        coef = 1.0 / (2.0 * hbar_tilde * omegas**2)
-    elif regime == "modulated":
-        if nu is None:
-            raise ValueError("modulated regime needs the carrier frequency")
-        det = nu**2 - omegas**2
-        near = np.abs(det) < 1e-6 * nu**2
-        if np.any(near):
-            idx = int(np.argmax(near))
-            raise ValueError(f"carrier resonant with mode {idx} at frequency {omegas[idx]}")
-        coef = -1.0 / (4.0 * hbar_tilde * det)
-    elif regime == "modulated-expansion":
-        if nu is None:
-            raise ValueError("modulated regime needs the carrier frequency")
-        coef = -(omegas**2) / (4.0 * hbar_tilde * nu**4)
-    else:
-        raise ValueError(f"unknown regime {regime!r}")
-    return np.einsum("k,ka,kb->ab", coef, m, m)
-
-
 @dataclass(frozen=True)
 class LaserGeometry:
     """Standing-wave beam-pair geometry for the resource estimates."""
@@ -447,6 +393,9 @@ def laser_resources(setup: TrapSetup, geometry: LaserGeometry, amplitude,
     of scattered photons shrinks with it, so the angle trades power against
     scattering error.
     """
+    for name, value in (("amplitude", amplitude), ("pair_separation", pair_separation)):
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
     species = setup.species
     freqs = trap_frequencies(setup)
     kappa = 2.0 * math.pi / geometry.wavelength

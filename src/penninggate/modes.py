@@ -289,26 +289,6 @@ def williamson(qh: QuadraticHamiltonian) -> ModeSpectrum:
     )
 
 
-def orthogonal_modes(state: CrystalState, regularize: bool = True):
-    """Orthogonal normal modes in the minimal-coupling-free frame.
-
-    Only valid at alpha_r = 1/2 where positions and momenta decouple; returns
-    (frequencies, M) with M orthogonal and rows as mode vectors Q = M q.
-    """
-    if abs(state.rotation_frequency - 0.5) > 1e-12:
-        raise ValueError("orthogonal mode path requires alpha_r = 1/2")
-    kpot = effective_potential_hessian(state.positions, 0.5, state.axial_ratio)
-    direction = _rotation_direction(state.positions) if regularize else None
-    if direction is not None:
-        vec = direction[0::2]
-        kpot = kpot + _REGULARIZATION * np.outer(vec, vec)
-    evals, evecs = np.linalg.eigh(kpot)
-    if evals[0] < -1e-10:
-        raise ValueError(f"potential Hessian has a negative curvature: {evals[0]:.3e}")
-    freqs = np.sqrt(np.clip(evals, 0.0, None))
-    return freqs, evecs.T
-
-
 @dataclass(frozen=True)
 class BandClassification:
     """Per-mode band labels, band frequency intervals, and usable gaps."""

@@ -80,3 +80,9 @@ def small_pair_setup(beryllium):
 @pytest.fixture(scope="session")
 def eq_pair(small_pair_setup):
     return find_equilibrium(small_pair_setup, 0.0, AnnealSchedule(seed=3))
+
+
+@pytest.fixture(scope="session")
+def spectrum_fig4(setup_high):
+    # the README fig4 crystal: the setup_high trap and P_theta with seed 11
+    return williamson(build_hessian(find_equilibrium(setup_high, 1.3e5, AnnealSchedule(seed=11))))

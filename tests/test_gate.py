@@ -16,10 +16,7 @@ from penninggate import (
     derive_scales,
     fidelity,
     fidelity_curve,
-    force_profile,
-    form_factors,
     laser_resources,
-    mode_drive,
     residual_displacement,
     trap_frequencies,
     two_qubit_phase,
@@ -35,9 +32,10 @@ TWO_PI = 2 * math.pi
 def synthetic_system(setup, omegas, m_matrix, separation=8.0):
     """Two-ion spectrum with orthogonal-mode coefficients A = M / sqrt(w).
 
-    This is the minimal-coupling-free structure: position coefficients are
-    real rows M_k / sqrt(w_k), which is what the closed-form form factors
-    assume.
+    This is the minimal-coupling-free structure of alpha_r = 1/2: position
+    coefficients are real rows M_k / sqrt(w_k).  On it the pair phase in the
+    long-gate limit is the orthogonal-mode sum of the per-mode coefficients
+    1/(2 hbar~ w_k^2) (adiabatic) or -1/(4 hbar~ (nu^2 - w_k^2)) (modulated).
     """
     omegas = np.asarray(omegas, dtype=float)
     n = 2
@@ -64,6 +62,22 @@ def synthetic_system(setup, omegas, m_matrix, separation=8.0):
         regularized_mode=None,
     )
     return state, spectrum
+
+
+def force_profile(times, spec, state, setup):
+    """Force magnitude on each driven ion, along the pair separation, at
+    physical times in seconds: the package's force prefactor times its drive
+    waveform."""
+    drive = gate._Drive.of(spec, setup)
+    return gate._force_prefactor(spec, state, setup) * drive(
+        np.asarray(times) * setup.cyclotron_frequency)
+
+
+def mode_drive(spec, spectrum, state, setup, qubit_signs=(1.0, 1.0)):
+    """Evaluator t(s) -> per-mode drive amplitudes alpha_k(t) for one qubit
+    sign configuration; output shape (3N, len(t))."""
+    weights = np.asarray(qubit_signs) @ pair_couplings(spec, spectrum, state, setup)
+    return lambda t: weights[:, None] * force_profile(np.atleast_1d(t), spec, state, setup)
 
 
 def mixing_matrix(angle=math.pi / 4):
@@ -103,26 +117,28 @@ def test_calibrated_phase_matches_a_fresh_phase(gate_high, eq_high, spectrum_hig
                                atol=1e-13 * np.abs(fresh.mode_phases).max())
 
 
-def test_force_profile_peak_and_direction(gate_high, eq_high, setup_high):
+def test_force_profile_peak_and_direction(gate_high, eq_high, spectrum_high, setup_high):
     spec, state = gate_high, eq_high
-    out = force_profile(spec.center, spec, state, setup_high)
     scales = derive_scales(setup_high)
     freqs = trap_frequencies(setup_high)
     j1, j2 = spec.target_pair
-    dist = np.linalg.norm(state.positions[j1, :2] - state.positions[j2, :2])
+    sep = state.positions[j1, :2] - state.positions[j2, :2]
+    dist = np.linalg.norm(sep)
     expected = scales.hbar_tilde * (freqs.omega_xy / setup_high.cyclotron_frequency) / dist
-    assert np.linalg.norm(out[j1]) == pytest.approx(expected, rel=1e-12)
-    np.testing.assert_allclose(out[j1], out[j2], rtol=1e-14)
-    mask = np.ones(state.n_ions, dtype=bool)
-    mask[[j1, j2]] = False
-    assert np.abs(out[mask]).max() == 0.0
+    peak = force_profile(spec.center, spec, state, setup_high)
+    assert peak == pytest.approx(expected, rel=1e-12)
+    # each ion couples through its position coefficients along the separation
+    rows = spectrum_high.position_coefficients().T
+    along = [(sep[0] * rows[3 * j] + sep[1] * rows[3 * j + 1]) / dist for j in (j1, j2)]
+    np.testing.assert_allclose(pair_couplings(spec, spectrum_high, state, setup_high),
+                               np.array(along) / math.sqrt(2.0 * scales.hbar_tilde),
+                               rtol=1e-12, atol=1e-12 * np.abs(along).max())
 
 
 def test_force_profile_edge_suppression(gate_high, eq_high, setup_high):
-    peak = np.linalg.norm(force_profile(gate_high.center, gate_high, eq_high, setup_high))
-    for t in (0.0, gate_high.gate_time):
-        edge = np.linalg.norm(force_profile(t, gate_high, eq_high, setup_high))
-        assert edge < 1e-8 * peak
+    peak = abs(force_profile(gate_high.center, gate_high, eq_high, setup_high))
+    edges = force_profile([0.0, gate_high.gate_time], gate_high, eq_high, setup_high)
+    assert np.abs(edges).max() < 1e-8 * peak
 
 
 def test_force_profile_time_integral_vanishes(eq_high, setup_high, pair_high):
@@ -131,9 +147,7 @@ def test_force_profile_time_integral_vanishes(eq_high, setup_high, pair_high):
     nu = TWO_PI * 55 / tau_g
     spec = GateSpec(target_pair=pair_high, carrier_frequency=nu, gate_time=tau_g)
     times = np.linspace(0.0, tau_g, 200001)
-    values = np.array(
-        [force_profile(t, spec, eq_high, setup_high)[pair_high[0], 0] for t in times]
-    )
+    values = force_profile(times, spec, eq_high, setup_high)
     integral = trapezoid(values, times)
     peak = np.abs(values).max()
     assert abs(integral) < 1e-6 * peak * tau_g
@@ -409,7 +423,8 @@ def test_phase_adiabatic_oracle(setup_high):
     theta = two_qubit_phase(spec, spectrum, state, setup_high).theta
 
     scales = derive_scales(setup_high)
-    s_adia = form_factors(omegas, m_matrix, "adiabatic", scales.hbar_tilde)
+    coef = 1.0 / (2.0 * scales.hbar_tilde * omegas**2)
+    s_adia = np.einsum("k,ka,kb->ab", coef, m_matrix, m_matrix)
     # the drive acts on the x coordinates (columns 0 and 3)
     freqs = trap_frequencies(setup_high)
     dist = np.linalg.norm(state.positions[0, :2] - state.positions[1, :2])
@@ -436,7 +451,8 @@ def test_phase_modulated_oracle(setup_high):
     theta = two_qubit_phase(spec, spectrum, state, setup_high).theta
 
     scales = derive_scales(setup_high)
-    s_mod = form_factors(omegas, m_matrix, "modulated", scales.hbar_tilde, nu=nu)
+    coef = -1.0 / (4.0 * scales.hbar_tilde * (nu**2 - omegas**2))
+    s_mod = np.einsum("k,ka,kb->ab", coef, m_matrix, m_matrix)
     freqs = trap_frequencies(setup_high)
     dist = np.linalg.norm(state.positions[0, :2] - state.positions[1, :2])
     mag = scales.hbar_tilde * (freqs.omega_xy / wc) / dist
@@ -486,6 +502,24 @@ def test_closed_form_phase_kernel_slow_carrier(setup_high):
     quad = drive.quadrature_kernel(omegas)
     assert bound.max() <= 1e-12 * np.abs(quad).max()
     assert np.abs(closed - quad).max() <= 1e-12 * np.abs(quad).max()
+
+
+@pytest.mark.parametrize("nu", [0.0, 3.0, 100.0])
+def test_phase_kernel_long_gate_limit(nu):
+    # G / int c^2 dt -> w / (w^2 - nu^2) as sigma grows, error ~ 1/sigma^2:
+    # the limit in which G gives the orthogonal-mode coefficients of the
+    # pair phase, adiabatic at nu = 0 and modulated for a fast carrier
+    omega = 1.0
+    errors = []
+    for sigma in (1e2, 1e3, 1e4):
+        drive = gate._Drive(nu=nu, tau=9.0 * sigma, center=4.5 * sigma, width=sigma,
+                            samples=None)
+        kernel, _ = drive.gaussian_kernel([omega])
+        # int cos^2(nu s) exp(-2 s^2 / sigma^2) ds over the line
+        norm = 0.5 * sigma * math.sqrt(math.pi / 2.0) * (1.0 + math.exp(-0.5 * (nu * sigma)**2))
+        errors.append(abs(kernel[0] / norm * (omega**2 - nu**2) / omega - 1.0))
+        assert errors[-1] <= 2.0 / (omega * sigma) ** 2
+    assert all(fine <= coarse / 50.0 for coarse, fine in zip(errors, errors[1:]))
 
 
 def test_phase_kernel_takes_closed_form_only_inside_its_bound(eq_high, spectrum_high,
@@ -635,44 +669,6 @@ def test_fidelity_not_worse_deeper_in_gap(eq_high, spectrum_high, setup_high, pa
         last = infid
 
 
-def test_form_factor_single_mode_ratio(setup_high):
-    hbar_tilde = derive_scales(setup_high).hbar_tilde
-    omega = 1.0
-    nu = 100.0
-    m = np.array([[1.0]])
-    adiabatic = form_factors([omega], m, "adiabatic", hbar_tilde)[0, 0]
-    modulated = form_factors([omega], m, "modulated", hbar_tilde, nu=nu)[0, 0]
-    leading = -1.0 / (4.0 * hbar_tilde * nu**2)
-    ratio = (modulated - leading) / adiabatic
-    assert ratio == pytest.approx(-((omega / nu) ** 4) / 2.0, rel=1e-3)
-
-
-def test_form_factor_leading_term_cancels_by_orthogonality(eq_low_p0):
-    from penninggate import orthogonal_modes
-
-    freqs, m_matrix = orthogonal_modes(eq_low_p0)
-    cross = np.einsum("ka,kb->ab", m_matrix, m_matrix)
-    off = cross - np.diag(np.diag(cross))
-    assert np.abs(off).max() < 1e-12
-
-
-def test_form_factor_expansion_consistency(setup_high):
-    hbar_tilde = derive_scales(setup_high).hbar_tilde
-    omega, nu = 1.0, 10.0
-    m = np.array([[1.0]])
-    modulated = form_factors([omega], m, "modulated", hbar_tilde, nu=nu)[0, 0]
-    leading = -1.0 / (4.0 * hbar_tilde * nu**2)
-    expansion = form_factors([omega], m, "modulated-expansion", hbar_tilde, nu=nu)[0, 0]
-    rel = abs((modulated - leading) - expansion) / abs(expansion)
-    assert rel < 1.1 * (omega / nu) ** 2
-
-
-def test_form_factor_resonance_rejected(setup_high):
-    hbar_tilde = derive_scales(setup_high).hbar_tilde
-    with pytest.raises(ValueError, match="resonant"):
-        form_factors([1.0, 2.0], np.eye(2), "modulated", hbar_tilde, nu=2.0 + 1e-9)
-
-
 def test_laser_resources_scalings(setup_high):
     geom = LaserGeometry(waist=2e-6, beam_angle=math.pi / 2, detuning=TWO_PI * 1e11,
                          wavelength=313e-9)
@@ -693,6 +689,18 @@ def test_laser_resources_scalings(setup_high):
     ]
     assert all(a < b for a, b in zip(powers, powers[1:]))
     assert all(a > b for a, b in zip(photons, photons[1:]))
+
+
+@pytest.mark.parametrize("argument, amplitude, separation", [
+    ("amplitude", 0.0, 50e-6), ("amplitude", -1.0, 50e-6),
+    ("pair_separation", 100.0, 0.0), ("pair_separation", 100.0, -5e-5),
+])
+def test_laser_resources_rejects_non_positive_inputs(setup_high, argument, amplitude,
+                                                     separation):
+    geom = LaserGeometry(waist=2e-6, beam_angle=math.pi / 2, detuning=TWO_PI * 1e11,
+                         wavelength=313e-9)
+    with pytest.raises(ValueError, match=f"^{argument} must be positive"):
+        laser_resources(setup_high, geom, amplitude, separation)
 
 
 def test_laser_resources_hand_evaluated_fixture(setup_high):

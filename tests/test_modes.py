@@ -14,7 +14,6 @@ from penninggate import (
     build_hessian,
     classify_bands,
     find_equilibrium,
-    orthogonal_modes,
     trap_frequencies,
     williamson,
 )
@@ -29,7 +28,7 @@ from penninggate.modes import (
 )
 from penninggate.scales import StabilityClass, get_species, stability_class
 
-from phase_space import equilibrium_momenta, phase_space_hamiltonian
+from phase_space import equilibrium_momenta, orthogonal_modes, phase_space_hamiltonian
 
 TWO_PI = 2 * math.pi
 
@@ -222,12 +221,17 @@ def test_axial_block_modes_are_the_axial_band(spectrum_high, bands_high):
     assert np.array_equal(rows[0::2], labels == "axial")
 
 
-def test_three_dimensional_crystal_takes_the_full_block(beryllium):
+@pytest.fixture(scope="module")
+def spectrum_3d(beryllium):
+    # N = 8 at P_theta = 2000 of the fig4 trap: a 3D crystal at alpha_r ~ 4e-4
     setup = TrapSetup(beryllium, TWO_PI * 7.608e6, 0.02, 8)
-    state = find_equilibrium(setup, 2000.0, AnnealSchedule(seed=3))
+    return williamson(build_hessian(find_equilibrium(setup, 2000.0, AnnealSchedule(seed=3))))
+
+
+def test_three_dimensional_crystal_takes_the_full_block(spectrum_3d):
+    spec, state = spectrum_3d, spectrum_3d.reference
     assert stability_class(state.anisotropy, 8) is StabilityClass.CONFINED_3D
     assert np.abs(state.positions[:, 2]).max() > 1.0
-    spec = williamson(build_hessian(state))
     assert [name for name, _ in _decoupled_blocks(spec.hessian)] == ["full"]
     jmat = symplectic_form(3 * state.n_ions)
     assert np.abs(spec.symplectic @ jmat @ spec.symplectic.T - jmat).max() < 1e-10
@@ -346,17 +350,33 @@ def test_coefficient_canonicity(spectrum_high):
         assert canon == pytest.approx(1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["spectrum_fig4", "spectrum_3d"])
+def test_symplectic_leading_term_identity(name, request):
+    # sum_k w_k Re(A_ka A_kb*) = (S^T D S)_(q_a q_b) = (J^T H J)_(q_a q_b)
+    # = (H_pp)_ab = delta_ab for every alpha_r: the identity that cancels the
+    # nu^-2 term of the pair phase between distinct ions
+    spec = request.getfixturevalue(name)
+    assert spec.reference.rotation_frequency < 1e-3  # far from the special frame 1/2
+    a = spec.position_coefficients()
+    gram = np.real((spec.frequencies[:, None] * a).T @ a.conj())
+    assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12
+
+
 def test_cross_path_spectra_agree_at_special_frame(setup_low, eq_low_p0):
     spec = williamson(build_hessian(eq_low_p0))
     ortho, m_matrix = orthogonal_modes(eq_low_p0)
     assert np.abs(m_matrix @ m_matrix.T - np.eye(len(m_matrix))).max() < 1e-12
-    assert np.abs(np.sort(spec.frequencies) - np.sort(ortho)).max() < 1e-8
+    # every mode but the rotation: williamson's regularized mode, and the
+    # oracle's zero mode, its lowest
+    physical = np.delete(spec.frequencies, spec.regularized_mode)
+    assert np.abs(physical - ortho[1:]).max() < 1e-8
 
 
 def test_orthogonal_modes_single_ion(beryllium):
+    # williamson at alpha_r = 1/2 reproduces the orthogonal-mode closed form
     setup = TrapSetup(beryllium, TWO_PI * 76.08e3, 0.7, 1)
     state = find_equilibrium(setup, 0.0, initial_positions=np.zeros((1, 3)))
-    freqs, _ = orthogonal_modes(state)
+    freqs = williamson(build_hessian(state)).frequencies
     tf = trap_frequencies(setup)
     wc = setup.cyclotron_frequency
     expected = np.sort([tf.omega_xy / wc, tf.omega_xy / wc, tf.omega_z / wc])
@@ -364,15 +384,11 @@ def test_orthogonal_modes_single_ion(beryllium):
 
 
 def test_orthogonal_modes_pair_com_mode(eq_pair, small_pair_setup):
-    freqs, _ = orthogonal_modes(eq_pair)
+    # williamson at alpha_r = 1/2 has the orthogonal-mode centre-of-mass mode
+    freqs = williamson(build_hessian(eq_pair)).frequencies
     tf = trap_frequencies(small_pair_setup)
     target = tf.omega_xy / small_pair_setup.cyclotron_frequency
     assert np.abs(freqs - target).min() < 1e-9
-
-
-def test_orthogonal_modes_requires_special_frame(eq_low_p4000):
-    with pytest.raises(ValueError):
-        orthogonal_modes(eq_low_p4000)
 
 
 def test_band_gap_contains_quoted_carrier(beryllium, eq_low_p4000):
