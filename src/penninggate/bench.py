@@ -17,14 +17,13 @@ import time
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
 from . import __version__
 from .crystal import _GRAD_TOL, AnnealSchedule, CrystalState, find_equilibrium, reduced_energy
 from .gate import GateResult, GateSpec, calibrated_phase, fidelity_curve
-from .modes import build_hessian, classify_bands, williamson
+from .modes import BandClassification, ModeSpectrum, build_hessian, classify_bands, williamson
 from .scales import TrapSetup, beta_critical, get_species
 
 _FMT = "{:.17g}"
@@ -114,35 +113,53 @@ _VALUE_PARSERS = {
 _CONFIG_PARSERS = {f.name: _VALUE_PARSERS[f.type] for f in fields(ExperimentConfig)}
 
 
-def parse_config(path) -> ExperimentConfig:
-    """Read the simple ``key = value`` config format (# starts a comment);
-    a key may appear once."""
-    values, seen = {}, {}
+@contextmanager
+def _prefixed(prefix):
+    """Re-raise a ValueError inside the block with ``prefix`` before its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{prefix}: {exc}") from None
+
+
+def _read_key_values(path, parsers):
+    """The ``key = value`` lines of ``path`` (# starts a comment), each value
+    read by its key's parser in ``parsers``, and the other non-blank lines
+    as (line number, text) pairs.  An unknown key, a repeated key or a value
+    that its parser refuses is a ValueError naming ``path:line``."""
+    values, seen, other = {}, {}, []
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.strip()
+        if "#" in line:
+            line = line.partition("#")[0].rstrip()
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+            if line:
+                other.append((lineno, line))
+            continue
         key, _, val = line.partition("=")
-        key, val = key.strip(), val.strip()
-        if key not in _CONFIG_PARSERS:
+        key = key.strip()
+        if key not in parsers:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
             raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
-        try:
-            values[key] = _CONFIG_PARSERS[key](val)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: key {key!r}: {exc}") from None
+        with _prefixed(f"{path}:{lineno}: key {key!r}"):
+            values[key] = parsers[key](val.strip())
+    return values, other
+
+
+def parse_config(path) -> ExperimentConfig:
+    """Read the simple ``key = value`` config format (# starts a comment);
+    a key may appear once."""
+    values, other = _read_key_values(path, _CONFIG_PARSERS)
+    if other:
+        raise ValueError(f"{path}:{other[0][0]}: expected 'key = value'")
     missing = [f.name for f in fields(ExperimentConfig)
                if f.default is MISSING and f.name not in values]
     if missing:
         raise ValueError(f"{path}: missing required key(s): {', '.join(missing)}")
-    try:
+    with _prefixed(path):
         return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
 
 
 def config_lines(config: ExperimentConfig):
@@ -160,71 +177,48 @@ def config_lines(config: ExperimentConfig):
     return out
 
 
+# the equilibrium file's header: each key and the CrystalState field it records
+_HEADER_FIELDS = {"N": "n_ions", "alpha_z": "axial_ratio", "P_theta": "angular_momentum",
+                  "omega_r_over_omega_c": "rotation_frequency", "energy": "energy"}
+_HEADER_PARSERS = {key: int if key == "N" else float for key in _HEADER_FIELDS}
+
+
 def save_state(state: CrystalState, path):
     """Write an equilibrium file; 17 significant digits round-trip exactly."""
-    lines = [
-        f"N = {state.n_ions}",
-        f"alpha_z = {_FMT.format(state.axial_ratio)}",
-        f"P_theta = {_FMT.format(state.angular_momentum)}",
-        f"omega_r_over_omega_c = {_FMT.format(state.rotation_frequency)}",
-        f"energy = {_FMT.format(state.energy)}",
-    ]
-    for row in state.positions:
-        lines.append(" ".join(_FMT.format(v) for v in row))
+    lines = [f"{key} = {_FMT.format(getattr(state, name))}" for key, name in _HEADER_FIELDS.items()]
+    lines += [" ".join(_FMT.format(v) for v in row) for row in state.positions]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-_HEADER_PARSERS = {"N": int, "alpha_z": float, "P_theta": float,
-                   "omega_r_over_omega_c": float, "energy": float}
-
-
 def load_state(path) -> CrystalState:
-    """Read an equilibrium file back, checking that the recorded energy and
-    P_theta are those of the positions; converged means a gradient norm
-    below 1e-10."""
-    text = Path(path).read_text().splitlines()
-    header = {}
-    rows = []
-    for lineno, raw in enumerate(text, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _HEADER_PARSERS:
-                raise ValueError(f"{path}:{lineno}: unexpected header {key!r}")
-            try:
-                header[key] = _HEADER_PARSERS[key](val.strip())
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: header {key!r}: {exc}") from None
-            continue
-        parts = line.split()
-        if len(parts) != 3:
+    """Read an equilibrium file back: its header keys as in a config, then
+    one ``x y z`` row per ion.  The recorded energy and P_theta must be those
+    of the positions; converged means a gradient norm below 1e-10."""
+    header, lines = _read_key_values(path, _HEADER_PARSERS)
+    rows = [line.split() for _, line in lines]
+    for (lineno, _), row in zip(lines, rows):
+        if len(row) != 3:
             raise ValueError(f"{path}:{lineno}: expected 'x y z'")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: malformed coordinate") from None
     missing = [k for k in _HEADER_PARSERS if k not in header]
     if missing:
         raise ValueError(f"{path}: missing header line(s): {', '.join(missing)}")
     if len(rows) != header["N"]:
-        raise ValueError(
-            f"{path}:{len(text)}: expected {header['N']} position rows, found {len(rows)}"
-        )
-    state = CrystalState.at(np.array(rows, dtype=float), header["omega_r_over_omega_c"],
-                            header["alpha_z"])
+        raise ValueError(f"{path}: expected {header['N']} position rows, found {len(rows)}")
+    try:  # numpy reads each value as float() does, all rows in one call
+        positions = np.array(rows, dtype=float)
+    except ValueError:  # then find the row that does not read
+        for (lineno, _), row in zip(lines, rows):
+            with _prefixed(f"{path}:{lineno}: malformed coordinate"):
+                np.array(row, dtype=float)
+    state = CrystalState.at(positions, header["omega_r_over_omega_c"], header["alpha_z"])
     energy = header["energy"]
     if abs(state.energy - energy) > 1e-12 * max(abs(energy), 1.0):
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     # the header's P_theta is kept, so validate() checks it against the positions
     state = replace(state, angular_momentum=header["P_theta"], energy=energy,
                     converged=state.gradient_norm < _GRAD_TOL)
-    try:
+    with _prefixed(path):
         state.validate()
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     return state
 
 
@@ -288,13 +282,14 @@ def tune_carrier(candidates, evaluate):
 
 @dataclass(frozen=True)
 class RunArtifacts:
+    """What a run computed, None past its last stage; its files sit in
+    ``out_dir`` under fixed names (``equilibrium.txt``, ``spectrum.csv``,
+    ``fidelity.csv``, ``phase.json``, ``manifest.txt``)."""
+
     out_dir: Path
-    equilibrium_file: Path
-    spectrum_file: Path
-    fidelity_file: Path
-    phase_file: Path
-    manifest_file: Path
     state: CrystalState
+    spectrum: ModeSpectrum | None
+    bands: BandClassification | None
     gate: GateResult | None
 
 
@@ -334,7 +329,7 @@ def _underflowed(row):  # infidelity reads 1 (F = 0, or 1 - F rounds to 1): no m
 
 
 # Pipeline stages.  The CLI verbs, run_experiment and sweep all compute through
-# these functions; _run_stages chains them and writes the artifacts.
+# these functions; run_experiment chains them and writes the artifacts.
 
 @contextmanager
 def _stage(name):
@@ -396,7 +391,7 @@ def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
     return pair, tau_r, gates[tune_carrier(gates, lambda nu: 1.0 - gates[nu].fidelity_curve[0][1])]
 
 
-def _run_stages(config: ExperimentConfig, last):
+def run_experiment(config: ExperimentConfig, last="gate") -> RunArtifacts:
     """Run the stages up to ``last`` ("equilibrium", "modes" or "gate"),
     writing each artifact into ``config.out_dir`` as its stage completes and
     then the manifest.
@@ -404,66 +399,48 @@ def _run_stages(config: ExperimentConfig, last):
     Only a run that goes past the modes requires a planar crystal.  A failing
     stage writes a FAILED marker and the manifest, then raises StageError.
     """
+    if last not in ("equilibrium", "modes", "gate"):
+        raise ValueError(f"unknown last stage {last!r}: expected equilibrium, modes or gate")
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = time.time()
     setup = config.setup()
-    run = SimpleNamespace(out=out, state=None, spectrum=None, bands=None, gate=None)
+    state = spectrum = bands = gate = None
     try:
         with _stage("equilibrium"):
-            run.state = _equilibrium(config, setup)
-            save_state(run.state, out / "equilibrium.txt")
-            if last == "gate" and _not_planar(run.state):
-                raise ValueError(_not_planar(run.state))
+            state = _equilibrium(config, setup)
+            save_state(state, out / "equilibrium.txt")
+            if last == "gate" and _not_planar(state):
+                raise ValueError(_not_planar(state))
         if last != "equilibrium":
             with _stage("modes"):
-                run.spectrum, run.bands = _modes(run.state, setup)
-                _write_spectrum(out / "spectrum.csv", run.spectrum, run.bands, setup)
+                spectrum, bands = _modes(state, setup)
+                _write_spectrum(out / "spectrum.csv", spectrum, bands, setup)
         if last == "gate":
             with _stage("gate"):
-                pair, tau_r, run.gate = _gate_stage(config, setup, run.state, run.spectrum,
-                                                    run.bands)
+                pair, tau_r, gate = _gate_stage(config, setup, state, spectrum, bands)
                 (out / "fidelity.csv").write_text(
-                    _csv(_FIDELITY_COLUMNS, _fidelity_rows(run.gate.fidelity_curve)))
+                    _csv(_FIDELITY_COLUMNS, _fidelity_rows(gate.fidelity_curve)))
                 report = {
-                    "theta": run.gate.theta,
-                    "theta_by_state": run.gate.theta_by_state,
-                    "amplitude": run.gate.spec.amplitude,
-                    "nu_hz": run.gate.spec.carrier_frequency / (2.0 * math.pi),
-                    "tau_g_s": run.gate.spec.gate_time,
-                    "tau_g_over_tau_r": run.gate.spec.gate_time / tau_r,
+                    "theta": gate.theta,
+                    "theta_by_state": gate.theta_by_state,
+                    "amplitude": gate.spec.amplitude,
+                    "nu_hz": gate.spec.carrier_frequency / (2.0 * math.pi),
+                    "tau_g_s": gate.spec.gate_time,
+                    "tau_g_over_tau_r": gate.spec.gate_time / tau_r,
                     "pair": list(pair),
                 }
                 (out / "phase.json").write_text(
                     json.dumps(report, indent=2, sort_keys=True) + "\n")
-                bad = next(filter(_underflowed, _fidelity_rows(run.gate.fidelity_curve)), None)
+                bad = next(filter(_underflowed, _fidelity_rows(gate.fidelity_curve)), None)
                 if bad is not None:
                     raise RuntimeError(f"fidelity underflowed to {bad[1]:.3g} at T = {bad[0]:g} K")
     except StageError as exc:
         (out / "FAILED").write_text(f"{exc.stage}: {exc.__cause__}\n")
-        _write_manifest(out / "manifest.txt", config, started, run.state, failed=exc.stage)
+        _write_manifest(out / "manifest.txt", config, started, state, failed=exc.stage)
         raise
-    _write_manifest(out / "manifest.txt", config, started, run.state)
-    return run
-
-
-def run_experiment(config: ExperimentConfig) -> RunArtifacts:
-    """Execute the full pipeline and write all artifacts into ``config.out_dir``.
-
-    Stage failures are raised as StageError after flushing the artifacts
-    produced so far together with a FAILED marker.
-    """
-    run = _run_stages(config, "gate")
-    return RunArtifacts(
-        out_dir=run.out,
-        equilibrium_file=run.out / "equilibrium.txt",
-        spectrum_file=run.out / "spectrum.csv",
-        fidelity_file=run.out / "fidelity.csv",
-        phase_file=run.out / "phase.json",
-        manifest_file=run.out / "manifest.txt",
-        state=run.state,
-        gate=run.gate,
-    )
+    _write_manifest(out / "manifest.txt", config, started, state)
+    return RunArtifacts(out, state, spectrum, bands, gate)
 
 
 def _write_manifest(path, config, started, state=None, failed=None):

@@ -24,7 +24,6 @@ from .bench import (
     _SWEEP_PARAMETERS,
     ExperimentConfig,
     _csv,
-    _run_stages,
     parse_config,
     run_experiment,
     sweep,
@@ -38,32 +37,23 @@ def _load(args) -> ExperimentConfig:
                    **{key: val for key, val in overrides.items() if val is not None})
 
 
-def _cmd_equilibrium(args):
-    state = _run_stages(_load(args), "equilibrium").state
-    print(
-        f"equilibrium: N={state.n_ions} omega_r/omega_c={state.rotation_frequency:.6f} "
-        f"beta={state.anisotropy:.3e} grad={state.gradient_norm:.2e}"
-    )
-    return 0
-
-
-def _cmd_modes(args):
-    run = _run_stages(_load(args), "modes")
-    gaps = ", ".join(f"({a:.4g}, {b:.4g})" for a, b, *_ in run.bands.gaps)
-    print(f"modes: {run.spectrum.n_modes} frequencies, gaps: {gaps or 'none'}")
-    return 0
-
-
-def _cmd_gate(args):
-    config = _load(args)
-    artifacts = run_experiment(config)
-    worst = max(1.0 - f for _, f, _ in artifacts.gate.fidelity_curve)
-    print(
-        f"gate: amplitude={artifacts.gate.spec.amplitude:.4g} "
-        f"nu={artifacts.gate.spec.carrier_frequency / (2 * math.pi):.4g} Hz "
-        f"worst infidelity={worst:.3e}"
-    )
-    print(f"artifacts in {artifacts.out_dir}")
+def _cmd_run(args):
+    """The equilibrium, modes and gate verbs: the stages up to the verb's own,
+    then its summary."""
+    run = run_experiment(_load(args), args.verb)
+    state, gate = run.state, run.gate
+    if args.verb == "equilibrium":
+        print(f"equilibrium: N={state.n_ions} omega_r/omega_c={state.rotation_frequency:.6f} "
+              f"beta={state.anisotropy:.3e} grad={state.gradient_norm:.2e}")
+    elif args.verb == "modes":
+        gaps = ", ".join(f"({a:.4g}, {b:.4g})" for a, b, *_ in run.bands.gaps)
+        print(f"modes: {run.spectrum.n_modes} frequencies, gaps: {gaps or 'none'}")
+    else:
+        worst = max(1.0 - f for _, f, _ in gate.fidelity_curve)
+        print(f"gate: amplitude={gate.spec.amplitude:.4g} "
+              f"nu={gate.spec.carrier_frequency / (2 * math.pi):.4g} Hz "
+              f"worst infidelity={worst:.3e}")
+        print(f"artifacts in {run.out_dir}")
     return 0
 
 
@@ -138,9 +128,9 @@ def main(argv=None) -> int:
         p.add_argument("--out", default=None)
         return p
 
-    common("equilibrium", _cmd_equilibrium, "solve the crystal equilibrium")
-    common("modes", _cmd_modes, "equilibrium plus normal-mode spectrum")
-    common("gate", _cmd_gate, "full gate pipeline with fidelity sweep")
+    common("equilibrium", _cmd_run, "solve the crystal equilibrium")
+    common("modes", _cmd_run, "equilibrium plus normal-mode spectrum")
+    common("gate", _cmd_run, "full gate pipeline with fidelity sweep")
     p_sweep = common("sweep", _cmd_sweep, "sweep one config field through the gate stage")
     p_sweep.add_argument("--parameter", required=True, choices=_SWEEP_PARAMETERS)
     p_sweep.add_argument("--grid", required=True, help=_GRID_FORMS)

@@ -280,14 +280,16 @@ def reduced_energy(positions, p_theta, axial_ratio) -> float:
     return _reduced_energy(positions, p_theta, axial_ratio, _pair_distances(positions))
 
 
-def reduced_energy_gradient(positions, p_theta, axial_ratio):
-    """Analytic gradient of ``reduced_energy``, shape (N, d) for (N, d) positions.
-
-    At the alpha_r whose rigid rotor carries P_theta, alpha_z^2 beta =
-    2 kappa - P^2 / I^2, so this is the effective-potential gradient there.
-    """
-    alpha_r = rotation_frequency_from_ptheta(positions, p_theta)
-    return effective_potential_gradient(positions, alpha_r, axial_ratio)
+def _reduced_objective(flat, p_theta, axial_ratio, dim):
+    """``reduced_energy`` and its analytic gradient at the (N, dim) positions
+    ``flat``, flattened, from one pass of pair distances.  At the alpha_r whose
+    rigid rotor carries P_theta, alpha_z^2 beta = 2 kappa - P^2 / I^2, so the
+    gradient is the effective-potential gradient there."""
+    pos = flat.reshape(-1, dim)
+    dist = _pair_distances(pos)
+    curvature = _trap_curvature(rotation_frequency_from_ptheta(pos, p_theta), axial_ratio, dim)
+    grad = _gradient(pos, curvature, dist**-3)
+    return _reduced_energy(pos, p_theta, axial_ratio, dist), grad.reshape(-1)
 
 
 def hex_lattice(n_ions):
@@ -381,17 +383,10 @@ def anneal(setup: TrapSetup, p_theta, schedule: AnnealSchedule):
     planar = stability_class(_implied_anisotropy(lattice, alpha_z), n) is StabilityClass.PLANAR_2D
     dim = 2 if planar else 3
 
-    def objective(flat):
-        # reduced_energy and reduced_energy_gradient from one pass of pair distances
-        pos = flat.reshape(n, dim)
-        dist = _pair_distances(pos)
-        curvature = _trap_curvature(rotation_frequency_from_ptheta(pos, p_theta), alpha_z, dim)
-        grad = _gradient(pos, curvature, dist**-3)
-        return _reduced_energy(pos, p_theta, alpha_z, dist), grad.reshape(-1)
-
     def search(start):
         if schedule.steps_per_cycle:
-            result = minimize(objective, start.reshape(-1), jac=True, method="L-BFGS-B",
+            result = minimize(_reduced_objective, start.reshape(-1), args=(p_theta, alpha_z, dim),
+                              jac=True, method="L-BFGS-B",
                               options={"maxiter": schedule.steps_per_cycle})
             start = result.x.reshape(n, dim)
         return CrystalState.at(start, rotation_frequency_from_ptheta(start, p_theta), alpha_z)

@@ -8,7 +8,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-import pytest
 import scipy.constants as const
 
 from penninggate import (
@@ -19,7 +18,6 @@ from penninggate import (
     beta_critical,
     build_hessian,
     calibrate_amplitude,
-    classify_bands,
     derive_scales,
     effective_radial_frequency,
     fidelity_curve,
@@ -45,10 +43,7 @@ from penninggate.beams import (
 )
 from penninggate.bench import resolve_carrier, run_experiment, sweep, tune_carrier
 from penninggate.gate import _Drive
-from penninggate.modes import (
-    QuadraticHamiltonian,
-    symplectic_form,
-)
+from penninggate.modes import symplectic_form
 
 from phase_space import equilibrium_momenta, orthogonal_modes, phase_space_hamiltonian
 
@@ -331,8 +326,8 @@ def test_criterion_9_determinism(tmp_path):
     art_a = run_experiment(config)
     art_b = run_experiment(replace(config, out_dir=str(tmp_path / "b")))
     same_bytes = all(
-        getattr(art_a, name).read_bytes() == getattr(art_b, name).read_bytes()
-        for name in ("equilibrium_file", "spectrum_file", "fidelity_file", "phase_file")
+        (art_a.out_dir / name).read_bytes() == (art_b.out_dir / name).read_bytes()
+        for name in ("equilibrium.txt", "spectrum.csv", "fidelity.csv", "phase.json")
     )
     # a sweep whose gates all run, so the repeat compares gate numbers
     grid = [0.006, 0.2]

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -23,6 +24,8 @@ from penninggate import (
 )
 from penninggate.bench import config_lines, resolve_carrier
 from penninggate.scales import beta_critical
+
+DATA = Path(__file__).parent / "data"
 
 
 def small_config(tmp_path, **overrides):
@@ -53,12 +56,12 @@ def gate_run_rows(config, value):
     gives a grid value ``value``: its crystal, pulse and fidelity.csv rows."""
     artifacts = run_experiment(config)
     state, pulse = artifacts.state, artifacts.gate.spec
-    pair = "{}:{}".format(*json.loads(artifacts.phase_file.read_text())["pair"])
+    pair = "{}:{}".format(*json.loads((artifacts.out_dir / "phase.json").read_text())["pair"])
     point = [f"{v:.17g}" for v in (value, state.rotation_frequency, state.anisotropy,
                                    state.energy)]
     gate = [pair, f"{pulse.carrier_frequency / (2 * np.pi):.17g}", f"{pulse.amplitude:.17g}"]
     return [[*point, *gate, *row.split(","), "ok"]
-            for row in artifacts.fidelity_file.read_text().splitlines()[1:]]
+            for row in (artifacts.out_dir / "fidelity.csv").read_text().splitlines()[1:]]
 
 
 # the second config sets every field away from its default, so the round
@@ -198,7 +201,12 @@ def test_load_truncated_file_reports_line(eq_low_p4000, tmp_path):
     garbled = lines[:]
     garbled[7] = "0.1 0.2"
     (tmp_path / "bad.txt").write_text("\n".join(garbled) + "\n")
-    with pytest.raises(ValueError, match="bad.txt:8"):
+    with pytest.raises(ValueError, match="bad.txt:8: expected 'x y z'"):
+        load_state(tmp_path / "bad.txt")
+    garbled[7] = "0.1 0.2 zed"
+    (tmp_path / "bad.txt").write_text("\n".join(garbled) + "\n")
+    with pytest.raises(ValueError, match="bad.txt:8: malformed coordinate: could not convert "
+                                         "string to float: 'zed'"):
         load_state(tmp_path / "bad.txt")
 
 
@@ -214,7 +222,23 @@ def test_load_names_the_line_and_key_of_an_unreadable_header(eq_low_p4000, tmp_p
     index = next(i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
     lines[index] = f"{key} = {value}"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=rf"eq\.txt:{index + 1}: header '{key}': {message}"):
+    with pytest.raises(ValueError, match=rf"eq\.txt:{index + 1}: key '{key}': {message}"):
+        load_state(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: lines.insert(1, "alpha_z = 0.5"), "3: key 'alpha_z' repeats line 2"),
+    (lambda lines: lines.append("N = 30"), "36: key 'N' repeats line 1"),
+    (lambda lines: lines.insert(0, "wibble = 1"), "1: unknown key 'wibble'"),
+], ids=["repeat-in-header", "repeat-after-rows", "unknown"])
+def test_load_rejects_header_keys_as_a_config_does(tmp_path, edit, message):
+    # an equilibrium file's header is read like a config: a key may appear
+    # once, wherever the repeat sits, and the error names the earlier line
+    lines = (DATA / "eq30_reference.txt").read_text().splitlines()
+    edit(lines)
+    path = tmp_path / "eq.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}:{message}')}$"):
         load_state(path)
 
 
@@ -262,8 +286,8 @@ def test_run_experiment_deterministic(tmp_path):
     config_b = small_config(tmp_path, out_dir=str(tmp_path / "b"))
     art_a = run_experiment(config_a)
     art_b = run_experiment(config_b)
-    for name in ("equilibrium_file", "spectrum_file", "fidelity_file", "phase_file"):
-        assert getattr(art_a, name).read_bytes() == getattr(art_b, name).read_bytes()
+    for name in ("equilibrium.txt", "spectrum.csv", "fidelity.csv", "phase.json"):
+        assert (art_a.out_dir / name).read_bytes() == (art_b.out_dir / name).read_bytes()
 
 
 def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
@@ -280,7 +304,7 @@ def test_run_experiment_builds_the_phase_kernel_once(tmp_path, monkeypatch):
     artifacts = run_experiment(small_config(tmp_path))
     assert len(calls) == 1
     assert abs(abs(artifacts.gate.theta) - np.pi) < 1e-12
-    manifest = artifacts.manifest_file.read_text().splitlines()
+    manifest = (artifacts.out_dir / "manifest.txt").read_text().splitlines()
     assert any(line.startswith("# blas_threads OPENBLAS_NUM_THREADS=") for line in manifest)
 
 
@@ -424,7 +448,7 @@ def test_manifest_names_the_package_version(tmp_path):
 
 def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
     artifacts = run_experiment(small_config(tmp_path))
-    lines = artifacts.manifest_file.read_text().splitlines()
+    lines = (artifacts.out_dir / "manifest.txt").read_text().splitlines()
     trust = [line for line in lines if line.startswith("# equilibrium ")]
     assert len(trust) == 1
     fields = dict(item.split("=") for item in trust[0].split()[2:])
@@ -432,7 +456,7 @@ def test_manifest_records_the_equilibrium_trust_numbers(tmp_path):
     assert float(fields["gradient_norm"]) <= 1e-10
     assert int(fields["refine_iterations"]) >= 1
     assert abs(float(fields["ptheta_mismatch"])) <= 1e-10 * 5000.0
-    assert parse_config(artifacts.manifest_file) == small_config(tmp_path)
+    assert parse_config(artifacts.out_dir / "manifest.txt") == small_config(tmp_path)
 
 
 @pytest.mark.parametrize("parameter, overrides", [
@@ -541,10 +565,10 @@ def test_sweep_rejects_bad_input(tmp_path):
 def test_manifest_reproduces_run(tmp_path):
     config = small_config(tmp_path, out_dir=str(tmp_path / "first"))
     artifacts = run_experiment(config)
-    replay = parse_config(artifacts.manifest_file)
+    replay = parse_config(artifacts.out_dir / "manifest.txt")
     rerun = run_experiment(replace(replay, out_dir=str(tmp_path / "replay")))
-    assert artifacts.fidelity_file.read_bytes() == rerun.fidelity_file.read_bytes()
-    assert artifacts.equilibrium_file.read_bytes() == rerun.equilibrium_file.read_bytes()
+    for name in ("fidelity.csv", "equilibrium.txt"):
+        assert (artifacts.out_dir / name).read_bytes() == (rerun.out_dir / name).read_bytes()
 
 
 def test_resolve_carrier_midgap(bands_high):
@@ -693,3 +717,46 @@ def test_cli_planarity_guard_applies_past_the_modes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gate", "--config", str(cfg), "--out", str(tmp_path / "gate")]) == 1
     assert "[equilibrium] crystal is not planar" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["equilibrium", "modes", "gate"])
+def test_each_run_verb_enters_the_pipeline_once_through_run_experiment(tmp_path, monkeypatch,
+                                                                       verb):
+    # the verbs' one way into the stages is bench.run_experiment, rebound
+    # wherever the package holds it as the benchmark tracer does; the search
+    # runs only inside that call
+    from penninggate import bench
+    from penninggate.cli import main
+
+    calls, inside, searches = [], [], []
+    original, search = bench.run_experiment, bench.find_equilibrium
+
+    def counted(config, last="gate"):
+        calls.append(last)
+        inside.append(1)
+        try:
+            return original(config, last)
+        finally:
+            inside.pop()
+
+    def watched(*args, **kwargs):
+        searches.append(bool(inside))
+        return search(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "penninggate" and vars(module).get("run_experiment") is original:
+            monkeypatch.setattr(module, "run_experiment", counted)
+    monkeypatch.setattr(bench, "find_equilibrium", watched)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("\n".join(config_lines(small_config(tmp_path))) + "\n")
+    assert main([verb, "--config", str(cfg)]) == 0
+    assert calls == [verb]
+    assert searches == [True]
+
+
+def test_run_experiment_refuses_an_unknown_last_stage(tmp_path):
+    config = small_config(tmp_path)
+    with pytest.raises(ValueError, match="unknown last stage 'sweep': expected equilibrium, "
+                                         "modes or gate"):
+        run_experiment(config, "sweep")
+    assert not Path(config.out_dir).exists()

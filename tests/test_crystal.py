@@ -23,13 +23,13 @@ from penninggate import (
 from penninggate.crystal import (
     CrystalState,
     _implied_anisotropy,
+    _reduced_objective,
     _seed_positions,
     effective_potential,
     effective_potential_gradient,
     effective_potential_hessian,
     hex_lattice,
     reduced_energy,
-    reduced_energy_gradient,
 )
 from penninggate.modes import build_hessian, williamson
 
@@ -495,8 +495,10 @@ def test_in_plane_kernels_are_the_plane_slices_at_z_zero():
     np.testing.assert_allclose(effective_potential_gradient(plane, *args),
                                effective_potential_gradient(space, *args)[:, :2],
                                rtol=1e-13, atol=1e-16)
-    np.testing.assert_allclose(reduced_energy_gradient(plane, 1.3e5, 0.02),
-                               reduced_energy_gradient(space, 1.3e5, 0.02)[:, :2],
+    energy, grad = _reduced_objective(plane.ravel(), 1.3e5, 0.02, 2)
+    energy_3d, grad_3d = _reduced_objective(space.ravel(), 1.3e5, 0.02, 3)
+    assert energy == energy_3d == reduced_energy(plane, 1.3e5, 0.02)
+    np.testing.assert_allclose(grad, grad_3d.reshape(30, 3)[:, :2].ravel(),
                                rtol=1e-13, atol=1e-16)
     inplane = np.flatnonzero(np.arange(90) % 3 != 2)
     np.testing.assert_array_equal(effective_potential_hessian(plane, *args),
@@ -523,13 +525,17 @@ def test_in_plane_gradient_and_hessian_match_central_differences():
 
 
 def test_reduced_energy_gradient_matches_central_differences():
+    # the gradient that the L-BFGS search follows, with its energy the
+    # public reduced_energy
     rng = np.random.default_rng(17)
     cases = [(130000.0, 0.02, 20.0), (4000.0, 0.7, 7.0), (0.0, 0.7, 7.0)]
     for p_theta, alpha_z, spacing in cases:
         pos = np.zeros((30, 3))
         pos[:, :2] = spacing * hex_lattice(30)
         pos += 0.1 * spacing * rng.standard_normal((30, 3))
-        grad = reduced_energy_gradient(pos, p_theta, alpha_z)
+        energy, grad = _reduced_objective(pos.ravel(), p_theta, alpha_z, 3)
+        assert energy == reduced_energy(pos, p_theta, alpha_z)
+        grad = grad.reshape(pos.shape)
         h = 1e-4 * spacing
         fd = np.zeros_like(pos)
         for idx in np.ndindex(*pos.shape):

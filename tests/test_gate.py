@@ -10,7 +10,6 @@ from scipy.integrate import solve_ivp, trapezoid
 from penninggate import (
     GateSpec,
     LaserGeometry,
-    TrapSetup,
     calibrate_amplitude,
     calibrated_phase,
     derive_scales,
