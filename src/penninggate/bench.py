@@ -59,6 +59,10 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        for field in fields(self):
+            val = getattr(self, field.name)
+            if isinstance(val, (float, tuple)) and not np.isfinite(val).all():
+                raise ValueError(f"{field.name} must be finite, got {val}")
         temps = list(self.temperatures_k)
         if not temps or any(t <= 0 for t in temps) or any(
             b <= a for a, b in zip(temps, temps[1:])
@@ -212,7 +216,7 @@ def load_state(path) -> CrystalState:
                 np.array(row, dtype=float)
     state = CrystalState.at(positions, header["omega_r_over_omega_c"], header["alpha_z"])
     energy = header["energy"]
-    if abs(state.energy - energy) > 1e-12 * max(abs(energy), 1.0):
+    if not abs(state.energy - energy) <= 1e-12 * max(abs(energy), 1.0):  # NaN fails too
         raise ValueError(f"{path}: recorded energy inconsistent with positions")
     # the header's P_theta is kept, so validate() checks it against the positions
     state = replace(state, angular_momentum=header["P_theta"], energy=energy,

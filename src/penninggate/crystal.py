@@ -96,12 +96,13 @@ class CrystalState:
 
     def validate(self):
         """Check the internal consistency relations of the state, to 1e-12
-        in beta and 1e-10 in P_theta, each relative to max(1, |value|)."""
+        in beta and 1e-10 in P_theta, each relative to max(1, |value|); a NaN
+        fails them."""
         beta = beta_from_ratio(self.rotation_frequency, self.axial_ratio)
-        if abs(beta - self.anisotropy) > 1e-12 * max(1.0, abs(beta)):
+        if not abs(beta - self.anisotropy) <= 1e-12 * max(1.0, abs(beta)):
             raise ValueError("anisotropy inconsistent with rotation frequency")
         ptheta = total_angular_momentum(self.positions, self.rotation_frequency)
-        if abs(ptheta - self.angular_momentum) > 1e-10 * max(1.0, abs(ptheta)):
+        if not abs(ptheta - self.angular_momentum) <= 1e-10 * max(1.0, abs(ptheta)):
             raise ValueError("angular momentum inconsistent with positions")
         return True
 
@@ -125,6 +126,8 @@ class AnnealSchedule:
             raise ValueError("cycle count must be at least 1")
         if self.steps_per_cycle < 0:
             raise ValueError("steps per cycle must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _pair_distances(positions):

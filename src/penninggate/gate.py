@@ -315,8 +315,8 @@ def thermal_weights(frequencies, temperature, setup: TrapSetup, skip=None):
     """Per-mode factor 1/(1 - exp(-hbar omega_k / k_B T)) with physical omega;
     an array of temperatures gives one row of factors per temperature."""
     temperature = np.asarray(temperature, dtype=float)
-    if np.any(temperature <= 0):
-        raise ValueError("temperature must be positive")
+    if not np.all((temperature > 0) & np.isfinite(temperature)):
+        raise ValueError("temperature must be positive and finite")
     energies = const.hbar * np.asarray(frequencies) * setup.cyclotron_frequency
     out = 1.0 / -np.expm1(-energies / (const.k * temperature)[..., None])
     if skip is not None:

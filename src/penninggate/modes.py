@@ -46,16 +46,18 @@ class ModeSpectrum:
     """Result of the symplectic diagonalization.
 
     ``symplectic`` is the matrix S with S J S^T = J and S H S^T equal to the
-    diagonal of frequency pairs; ``coefficients`` holds
-    A[k, j] = S[2k, j] + i S[2k+1, j] (0-based rows).  ``regularized_mode``
-    marks the crystal-rotation mode whose zero frequency was lifted by the
-    regularization shift; its frequency is an artifact of the regularization.
+    diagonal of frequency pairs; ``position_block`` holds its position
+    columns as A[k, a] = S[2k, 2a] + i S[2k+1, 2a] (0-based), the only part
+    of the complex coefficients the bands, the spectrum file and the gate
+    read.  ``regularized_mode`` marks the crystal-rotation mode whose zero
+    frequency was lifted by the regularization shift; its frequency is an
+    artifact of the regularization.  S is the one (6N)^2 array a spectrum
+    keeps: at N = 300 it holds 26 MB, the position block 13 MB.
     """
 
     frequencies: np.ndarray       # (3N,) in omega_c units, ascending
     symplectic: np.ndarray        # (6N, 6N)
-    coefficients: np.ndarray      # (3N, 6N) complex
-    hessian: np.ndarray           # regularized matrix the decomposition used
+    position_block: np.ndarray    # (3N, 3N) complex
     reference: CrystalState
     regularized_mode: int | None
 
@@ -65,7 +67,7 @@ class ModeSpectrum:
 
     def position_coefficients(self):
         """A restricted to position columns, shape (3N, 3N)."""
-        return self.coefficients[:, 0::2]
+        return self.position_block
 
 
 def symplectic_form(n_dof: int):
@@ -167,6 +169,14 @@ def _decoupled_blocks(h):
     return [("full", np.arange(2 * n_dof))]
 
 
+def _subtract_j(m):
+    """m - J in place for the interleaved J, at its nonzeros only."""
+    k = np.arange(0, len(m), 2)
+    m[k, k + 1] -= 1.0
+    m[k + 1, k] += 1.0
+    return m
+
+
 def _williamson_block(chol, name):
     """Frequencies (ascending) and symplectic S of one block H = L L^T.
 
@@ -179,40 +189,53 @@ def _williamson_block(chol, name):
     eigenvector (v-bar lies at -w), degenerate ones included, so
     (sqrt2 Re v, -sqrt2 Im v) are orthonormal canonical pairs:
     O^T K O = diag(w) J.  Then S = D^(1/2) O^T L^(-1) gives S H S^T = D and
-    S J S^T = J.
+    S J S^T = J.  Each block-sized temporary is released once used.
     """
     from scipy.linalg import eigh_tridiagonal, hessenberg, solve_triangular
 
     half = len(chol) // 2
     tri, q_matrix = hessenberg(_skew_gram(chol), calc_q=True)
-    sub = np.diagonal(tri, -1)
+    sub = np.diagonal(tri, -1).copy()
+    del tri
     tvals, tvecs = eigh_tridiagonal(np.zeros(2 * half), np.abs(sub))
     freqs = tvals[half:]
     # D is real on even and i times real on odd rows; those real factors step
     # by sign(e_i) (-1)^i, so Re v and Im v are real products of Q and z
     steps = np.where(sub < 0.0, -1.0, 1.0) * (-1.0) ** np.arange(len(sub))
     vecs = np.cumprod(np.concatenate(([1.0], steps)))[:, None] * tvecs[:, half:]
+    del tvecs
     vecs *= np.sqrt(2.0 * freqs)
     # O D^(1/2), solved to the transpose S^T = L^(-T) O D^(1/2), whose rows
     # are the (q, p) coordinates that _skew_gram slices
     o_matrix = np.empty_like(chol)
     o_matrix[:, 0::2] = q_matrix[:, 0::2] @ vecs[0::2]
     o_matrix[:, 1::2] = -(q_matrix[:, 1::2] @ vecs[1::2])
-    s_trans = solve_triangular(chol, o_matrix, trans="T", lower=True)
+    del q_matrix, vecs
+    s_trans = solve_triangular(chol, o_matrix, trans="T", lower=True, overwrite_b=True)
 
     # one first-order polish on the symplectic manifold: with the antisymmetric
     # defect E = S J S^T - J, the update (I + E J / 2) S cancels E to O(E^2);
     # transposed, S^T + S^T J E / 2
-    jmat = symplectic_form(half)
-    defect = _skew_gram(s_trans) - jmat
-    s_trans = s_trans + 0.5 * _times_j(s_trans) @ defect
+    defect = _subtract_j(_skew_gram(s_trans))
+    s_trans += 0.5 * _times_j(s_trans) @ defect
 
-    resid_j = np.abs(_skew_gram(s_trans) - jmat).max()
+    resid_j = np.abs(_subtract_j(_skew_gram(s_trans))).max()
     if resid_j > 1e-10:
         raise np.linalg.LinAlgError(
             f"symplectic residual too large in the {name} block: {resid_j:.3e}"
         )
     return freqs, s_trans.T
+
+
+def _regularized_block(h, idx, direction):
+    """h restricted to idx, in Fortran order for an in-place Cholesky, with
+    the rotation shift added at the entries the direction touches."""
+    block = h.T[np.ix_(idx, idx)].T
+    if direction is not None:
+        d = direction[idx]
+        touched = np.flatnonzero(d)
+        block[np.ix_(touched, touched)] += _REGULARIZATION * np.outer(d[touched], d[touched])
+    return block
 
 
 def williamson(qh: QuadraticHamiltonian) -> ModeSpectrum:
@@ -221,42 +244,44 @@ def williamson(qh: QuadraticHamiltonian) -> ModeSpectrum:
     Splits the Hessian into its exactly decoupled blocks (in-plane 4N and
     axial 2N for a planar crystal, one 6N block otherwise), decomposes each
     block on its own, and assembles the symplectic S with
-    S H S^T = diag(w_1, w_1, ..., w_3N, w_3N) and S J S^T = J.
+    S H S^T = diag(w_1, w_1, ..., w_3N, w_3N) and S J S^T = J.  Apart from S
+    no (6N)^2 array is formed: the rotation shift lands in the block it
+    touches, each block is factored in place, and each factor is released
+    once decomposed.
     """
     from scipy.linalg import cholesky
 
     h = np.asarray(qh.matrix, dtype=float)
-    asym = h - h.T
-    if asym.any():
+    if not np.array_equal(h, h.T):
+        asym = h - h.T
         if np.abs(asym).max() > _SYMMETRY_TOL * max(1.0, np.abs(h).max()):
             raise ValueError("Hessian is not symmetric")
         h = h - 0.5 * asym
 
     direction = _rotation_direction(qh.reference.positions) if qh.reference is not None else None
-    h_reg = h if direction is None else h + _REGULARIZATION * np.outer(direction, direction)
-
-    blocks = [(name, idx, h_reg[np.ix_(idx, idx)]) for name, idx in _decoupled_blocks(h_reg)]
+    blocks = _decoupled_blocks(h)
     factors, failed = [], []
-    for name, _, block in blocks:
+    for name, idx in blocks:
         try:
-            factors.append(cholesky(block, lower=True))
+            factors.append(cholesky(_regularized_block(h, idx, direction), lower=True,
+                                    overwrite_a=True))
         except np.linalg.LinAlgError:
-            failed.append(f"{name} block has lowest eigenvalue {np.linalg.eigvalsh(block)[0]:.3e}")
+            lowest = np.linalg.eigvalsh(_regularized_block(h, idx, direction))[0]
+            failed.append(f"{name} block has lowest eigenvalue {lowest:.3e}")
     if failed:
         raise ValueError(
             "Hessian not positive definite beyond the rotational zero mode: " + "; ".join(failed)
         )
 
-    freqs = []
-    s_matrix = np.zeros_like(h_reg)
-    row = 0
-    for (name, idx, _), chol in zip(blocks, factors):
-        block_freqs, block_s = _williamson_block(chol, name)
+    # each factor is dropped as its block is decomposed, and S is allocated
+    # only once every block's rows are in hand
+    solved = [(idx, *_williamson_block(factors.pop(0), name)) for name, idx in blocks]
+    freqs = np.concatenate([block_freqs for _, block_freqs, _ in solved])
+    s_matrix, row = np.zeros_like(h), 0
+    for idx, _, block_s in solved:
         s_matrix[row : row + len(idx), idx] = block_s
-        freqs.append(block_freqs)
         row += len(idx)
-    freqs = np.concatenate(freqs)
-    coeffs = s_matrix[0::2, :] + 1j * s_matrix[1::2, :]
+    del solved
 
     regularized_mode = None
     if direction is not None:
@@ -267,23 +292,19 @@ def williamson(qh: QuadraticHamiltonian) -> ModeSpectrum:
         regularized_mode = int(np.argmax(weights))
 
     # deterministic order: ascending frequency, exact ties (degenerate cluster
-    # members share one float) broken by the dominant coefficient index
-    dominant = np.argmax(np.abs(coeffs), axis=1)
+    # members share one float) broken by the dominant column of |A|, with
+    # A = S_even + i S_odd
+    dominant = np.argmax(np.hypot(s_matrix[0::2], s_matrix[1::2]), axis=1)
     order = np.lexsort((dominant, freqs))
     freqs = freqs[order]
-    perm = np.empty(2 * len(order), dtype=int)
-    perm[0::2] = 2 * order
-    perm[1::2] = 2 * order + 1
-    s_matrix = s_matrix[perm, :]
-    coeffs = coeffs[order]
+    s_matrix = s_matrix.reshape(len(order), 2, -1)[order].reshape(s_matrix.shape)  # row pairs
     if regularized_mode is not None:
         regularized_mode = int(np.where(order == regularized_mode)[0][0])
 
     return ModeSpectrum(
         frequencies=freqs,
         symplectic=s_matrix,
-        coefficients=coeffs,
-        hessian=h_reg,
+        position_block=s_matrix[0::2, 0::2] + 1j * s_matrix[1::2, 0::2],
         reference=qh.reference,
         regularized_mode=regularized_mode,
     )

@@ -78,8 +78,9 @@ class TrapSetup:
     ion_count: int
 
     def __post_init__(self):
-        if self.cyclotron_frequency <= 0:
-            raise ValueError("cyclotron frequency must be positive")
+        if not 0 < self.cyclotron_frequency < math.inf:
+            raise ValueError(
+                f"cyclotron_frequency must be positive and finite, got {self.cyclotron_frequency}")
         if not 0.0 < self.axial_ratio < 1.0 / math.sqrt(2.0):
             raise ValueError("axial ratio must satisfy 0 < alpha_z < 1/sqrt(2)")
         if self.ion_count < 1:

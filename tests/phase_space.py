@@ -4,12 +4,14 @@
 Hamiltonian term by term; the tests differentiate it numerically instead.
 At alpha_r = 1/2 positions and momenta decouple, and the orthogonal modes of
 the potential curvature give the spectrum that ``williamson`` must reproduce.
+A spectrum does not keep the regularized Hessian it decomposed;
+``regularized_hessian`` rebuilds it from the crystal.
 """
 
 import numpy as np
 
 from penninggate.crystal import coulomb_energy, effective_potential_hessian
-from penninggate.modes import minimal_coupling_rate
+from penninggate.modes import build_hessian, minimal_coupling_rate
 
 
 def phase_space_hamiltonian(positions, momenta, alpha_r, axial_ratio) -> float:
@@ -45,3 +47,15 @@ def orthogonal_modes(state):
                                                               state.axial_ratio))
     assert evals[0] > -1e-10, f"potential Hessian has a negative curvature: {evals[0]:.3e}"
     return np.sqrt(np.clip(evals, 0.0, None)), evecs.T
+
+
+def regularized_hessian(state, shift=1e-8):
+    """The phase-space Hessian with the rigid in-plane rotation lifted by
+    ``shift`` along its unit position direction (-y_k, x_k, 0): the matrix
+    ``williamson`` decomposes."""
+    q = np.asarray(state.positions, dtype=float)
+    rotation = np.zeros((len(q), 3, 2))  # (ion, axis, q or p): the interleaved order
+    rotation[:, 0, 0] = -q[:, 1]
+    rotation[:, 1, 0] = q[:, 0]
+    rotation = rotation.ravel() / np.linalg.norm(rotation)
+    return build_hessian(state).matrix + shift * np.outer(rotation, rotation)

@@ -149,6 +149,15 @@ def test_config_bool_accepts_exactly_the_four_spellings_in_any_case(tmp_path):
 def test_config_temperature_grid_validation(tmp_path):
     with pytest.raises(ValueError, match="temperature grid"):
         small_config(tmp_path, temperatures_k=(1e-3, 1e-4))
+    # the grid is not a sweep parameter, so a non-finite one is checked here
+    path = tmp_path / "bad.cfg"
+    for grid in ("1e-3,nan", "1e-3,inf"):
+        path.write_text("\n".join([entry for entry in config_lines(small_config(tmp_path))
+                                   if not entry.startswith("temperatures_k ")]
+                                  + [f"temperatures_k = {grid}"]) + "\n")
+        with pytest.raises(ValueError, match=rf"^{path}: temperatures_k must be finite, got "
+                                             rf"\(0\.001, {grid[5:]}\)$"):
+            parse_config(path)
 
 
 @pytest.mark.parametrize("line, message", [
@@ -157,7 +166,16 @@ def test_config_temperature_grid_validation(tmp_path):
     ("nu_hz = -2", "nu_hz must be positive, got -2"),
     ("anneal_cycles = 0", "cycle count must be at least 1"),
     ("anneal_steps = -1", "steps per cycle must be nonnegative"),
-], ids=["tau_ratio", "sigma_fraction", "nu_hz", "anneal_cycles", "anneal_steps"])
+    ("nu_c_hz = nan", "nu_c_hz must be finite, got nan"),
+    ("nu_c_hz = inf", "nu_c_hz must be finite, got inf"),
+    ("tau_ratio = inf", "tau_ratio must be finite, got inf"),
+    ("nu_hz = inf", "nu_hz must be finite, got inf"),
+    ("p_theta = inf", "p_theta must be finite, got inf"),
+    ("sigma_fraction = inf", "sigma_fraction must be finite, got inf"),
+    ("seed = -1", "seed must be nonnegative, got -1"),
+], ids=["tau_ratio", "sigma_fraction", "nu_hz", "anneal_cycles", "anneal_steps", "nu_c_hz_nan",
+        "nu_c_hz_inf", "tau_ratio_inf", "nu_hz_inf", "p_theta_inf", "sigma_fraction_inf",
+        "seed"])
 def test_config_out_of_range_values_fail_when_built(tmp_path, monkeypatch, line, message):
     # such a value fails when the config is built, not after a search; a
     # sweep point with it is a config row made without a search
@@ -253,6 +271,24 @@ def test_load_rejects_inconsistent_ptheta_header(eq_low_p4000, tmp_path):
     edited.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=r"edited\.txt: angular momentum inconsistent"):
         load_state(edited)
+
+
+@pytest.mark.parametrize("key, message", [
+    ("energy", "recorded energy inconsistent with positions"),
+    ("P_theta", "angular momentum inconsistent with positions"),
+    ("omega_r_over_omega_c", "recorded energy inconsistent with positions"),
+    ("row", "recorded energy inconsistent with positions"),
+], ids=["energy", "P_theta", "omega_r", "coordinate"])
+def test_load_rejects_a_nan_header_value_or_coordinate(tmp_path, key, message):
+    # NaN compares false with everything, so each check must fail on it
+    lines = (DATA / "eq30_reference.txt").read_text().splitlines()
+    index = len(lines) - 1 if key == "row" else next(
+        i for i, line in enumerate(lines) if line.startswith(f"{key} ="))
+    lines[index] = "nan 0.5 0" if key == "row" else f"{key} = nan"
+    path = tmp_path / "eq.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_state(path)
 
 
 def test_load_then_refine_takes_no_steps(eq_low_p4000, tmp_path):

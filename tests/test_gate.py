@@ -25,6 +25,8 @@ from penninggate.crystal import CrystalState
 from penninggate.gate import pair_couplings, thermal_weights
 from penninggate.modes import ModeSpectrum
 
+from phase_space import regularized_hessian
+
 TWO_PI = 2 * math.pi
 
 
@@ -49,14 +51,10 @@ def synthetic_system(setup, omegas, m_matrix, separation=8.0):
         converged=True,
         gradient_norm=0.0,
     )
-    coeffs = np.zeros((3 * n, 6 * n), dtype=complex)
-    coeffs[:, 0::2] = m_matrix / np.sqrt(omegas)[:, None]
-    coeffs[:, 1::2] = 1j * m_matrix * np.sqrt(omegas)[:, None]
     spectrum = ModeSpectrum(
         frequencies=omegas,
         symplectic=np.zeros((6 * n, 6 * n)),
-        coefficients=coeffs,
-        hessian=np.zeros((6 * n, 6 * n)),
+        position_block=(m_matrix / np.sqrt(omegas)[:, None]).astype(complex),
         reference=state,
         regularized_mode=None,
     )
@@ -389,11 +387,11 @@ def test_phase_quadratic_in_amplitude(gate_high, eq_high, spectrum_high, setup_h
 
 def test_phase_bilinear_in_single_ion_force(gate_high, eq_high, spectrum_high, setup_high):
     theta = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
-    # doubling ion j1's six coefficient columns doubles its coupling
+    # doubling ion j1's three position coefficient columns doubles its coupling
     j1 = gate_high.target_pair[0]
-    coefficients = spectrum_high.coefficients.copy()
-    coefficients[:, 6 * j1:6 * j1 + 6] *= 2.0
-    doubled = replace(spectrum_high, coefficients=coefficients)
+    block = spectrum_high.position_coefficients().copy()
+    block[:, 3 * j1:3 * j1 + 3] *= 2.0
+    doubled = replace(spectrum_high, position_block=block)
     scaled = two_qubit_phase(gate_high, doubled, eq_high, setup_high).theta
     assert scaled == pytest.approx(2.0 * theta, rel=1e-9)
 
@@ -553,8 +551,7 @@ def test_calibration_degenerate_drive_error(gate_high, eq_high, spectrum_high, s
     dead = ModeSpectrum(
         frequencies=spectrum_high.frequencies,
         symplectic=spectrum_high.symplectic,
-        coefficients=np.zeros_like(spectrum_high.coefficients),
-        hessian=spectrum_high.hessian,
+        position_block=np.zeros_like(spectrum_high.position_coefficients()),
         reference=spectrum_high.reference,
         regularized_mode=spectrum_high.regularized_mode,
     )
@@ -633,6 +630,13 @@ def test_fidelity_zero_temperature_limit(gate_high, eq_high, spectrum_high, setu
         combo[skip] = 0.0
     expected = min(math.exp(-amp**2 / 4.0 * combo.sum()) for combo in combos.values())
     assert cold == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("temperature", [0.0, math.nan, math.inf])
+def test_thermal_weights_refuse_a_non_finite_temperature(spectrum_high, setup_high,
+                                                         temperature):
+    with pytest.raises(ValueError, match="^temperature must be positive and finite"):
+        thermal_weights(spectrum_high.frequencies, [1e-3, temperature], setup_high)
 
 
 def test_fidelity_branch_is_worst_of_four_sign_configs(gate_high, eq_high, spectrum_high,
@@ -815,7 +819,7 @@ def test_classical_trajectory_end_to_end_oracle(small_pair_setup, eq_pair):
     scales = derive_scales(setup)
 
     n = state.n_ions
-    h = spectrum.hessian
+    h = regularized_hessian(state)
     jmat = symplectic_form(3 * n)
     unit = (state.positions[0, :2] - state.positions[1, :2])
     unit = unit / np.linalg.norm(unit)

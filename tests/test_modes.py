@@ -28,7 +28,12 @@ from penninggate.modes import (
 )
 from penninggate.scales import StabilityClass, get_species, stability_class
 
-from phase_space import equilibrium_momenta, orthogonal_modes, phase_space_hamiltonian
+from phase_space import (
+    equilibrium_momenta,
+    orthogonal_modes,
+    phase_space_hamiltonian,
+    regularized_hessian,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -178,7 +183,8 @@ def jh_oracle(spectrum):
     """Independent frequencies: sorted |Im eig(J H)| of the regularized
     Hessian, one of each +/- pair."""
     jmat = symplectic_form(3 * spectrum.reference.n_ions)
-    return np.sort(np.abs(np.linalg.eigvals(jmat @ spectrum.hessian).imag))[::2]
+    h = regularized_hessian(spectrum.reference)
+    return np.sort(np.abs(np.linalg.eigvals(jmat @ h).imag))[::2]
 
 
 @pytest.fixture(scope="module")
@@ -232,7 +238,7 @@ def test_three_dimensional_crystal_takes_the_full_block(spectrum_3d):
     spec, state = spectrum_3d, spectrum_3d.reference
     assert stability_class(state.anisotropy, 8) is StabilityClass.CONFINED_3D
     assert np.abs(state.positions[:, 2]).max() > 1.0
-    assert [name for name, _ in _decoupled_blocks(spec.hessian)] == ["full"]
+    assert [name for name, _ in _decoupled_blocks(regularized_hessian(state))] == ["full"]
     jmat = symplectic_form(3 * state.n_ions)
     assert np.abs(spec.symplectic @ jmat @ spec.symplectic.T - jmat).max() < 1e-10
     assert np.abs(np.sort(spec.frequencies) - jh_oracle(spec)).max() < 1e-10
@@ -241,12 +247,13 @@ def test_three_dimensional_crystal_takes_the_full_block(spectrum_3d):
 def test_williamson_reconstruction_and_diagonality(spectrum_high):
     jmat = symplectic_form(3 * spectrum_high.reference.n_ions)
     s = spectrum_high.symplectic
+    h = regularized_hessian(spectrum_high.reference)
     w = np.diag(np.repeat(spectrum_high.frequencies, 2))
-    assert np.abs(s @ spectrum_high.hessian @ s.T - w).max() < 1e-9
+    assert np.abs(s @ h @ s.T - w).max() < 1e-9
     s_inv = -jmat @ s.T @ jmat
     recon = s_inv @ w @ s_inv.T
-    scale = np.abs(spectrum_high.hessian).max()
-    assert np.abs(recon - spectrum_high.hessian).max() < 1e-9 * scale
+    scale = np.abs(h).max()
+    assert np.abs(recon - h).max() < 1e-9 * scale
 
 
 def test_williamson_invariant_under_symplectic_shear():
@@ -333,11 +340,35 @@ def test_symplectic_polish_reaches_roundoff(name, request):
     assert np.abs(spec.symplectic @ jmat @ spec.symplectic.T - jmat).max() <= 1e-13
 
 
+def test_williamson_holds_at_most_five_hessians(spectrum_fig4):
+    # S and the position block are all a spectrum keeps; the solve forms no
+    # other (6N)^2 array, so its traced peak stays under five Hessians
+    import tracemalloc
+
+    qh = build_hessian(spectrum_fig4.reference)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        williamson(qh)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * qh.matrix.nbytes
+
+
+@pytest.mark.parametrize("name", ["spectrum_fig4", "spectrum_3d"])
+def test_position_block_is_the_position_columns_of_s(name, request):
+    spec = request.getfixturevalue(name)
+    s = spec.symplectic
+    assert np.array_equal(spec.position_coefficients(), s[0::2, 0::2] + 1j * s[1::2, 0::2])
+
+
 def test_coefficient_canonicity(spectrum_high):
     # column relations of S J S^T = J expressed through A = S_even + i S_odd:
     # position-position sums vanish, position-momentum pairs give the
     # canonical +/-1
-    a = spectrum_high.coefficients
+    s = spectrum_high.symplectic
+    a = s[0::2] + 1j * s[1::2]
     n = spectrum_high.reference.n_ions
     rng = np.random.default_rng(3)
     pos = rng.choice(3 * n, size=6, replace=False)

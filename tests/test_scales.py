@@ -75,6 +75,13 @@ def test_trap_frequencies_boundary_and_rejection(beryllium):
         TrapSetup(beryllium, TWO_PI * 1e6, 1 / math.sqrt(2), 2)
 
 
+@pytest.mark.parametrize("omega_c", [0.0, math.nan, math.inf])
+def test_trap_setup_refuses_a_non_finite_cyclotron_frequency(beryllium, omega_c):
+    with pytest.raises(ValueError, match=f"^cyclotron_frequency must be positive and finite, "
+                                         f"got {omega_c}$"):
+        TrapSetup(beryllium, omega_c, 0.02, 30)
+
+
 def test_anisotropy_slow_rotation_value(setup_low):
     beta = anisotropy(TWO_PI * 32.75e3, setup_low)
     assert beta == pytest.approx(3.4e-4, abs=0.1e-4)
