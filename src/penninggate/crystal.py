@@ -202,13 +202,6 @@ def _gradient(positions, curvature, inv3):
             - (inv3.sum(axis=-1)[..., None] * positions - inv3 @ positions))
 
 
-def effective_potential_gradient(positions, alpha_r, axial_ratio):
-    """Analytic gradient of the effective potential, shape (N, d) for (N, d) positions."""
-    positions = np.asarray(positions, dtype=float)
-    curvature = _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
-    return _gradient(positions, curvature, _pair_distances(positions) ** -3)
-
-
 def _hessian(positions, curvature, dist, inv3, out=None):
     *lead, n, dim = positions.shape
     diff = [positions[..., :, None, a] - positions[..., None, :, a] for a in range(dim)]
@@ -315,6 +308,64 @@ def hex_lattice(n_ions):
     return sites - sites.mean(axis=0)
 
 
+def _brentq(f, xa, xb, xtol=2e-12, rtol=8.881784197001252e-16, maxiter=100):
+    """Root of f in the bracket [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A port of the C ``brentq`` behind ``scipy.optimize.brentq``, with its
+    defaults: the same bracket bookkeeping, tests and steps in the same order
+    of arithmetic, so it returns scipy's float without importing
+    ``scipy.optimize``.  Its sign tests compare with 0, which is ``signbit``
+    for the nonzero, non-NaN values they see.  As scipy's, it raises a
+    ValueError for a same-sign bracket or a NaN value of f and a RuntimeError
+    when ``maxiter`` steps do not converge.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # bisect, unless a short interpolated step is taken
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:  # C's inf or NaN, which bisects
+                pass
+        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+
+
 def _seed_spacing(setup: TrapSetup, p_theta) -> float:
     """Spacing of the hexagonal lattice that carries P_theta.
 
@@ -327,8 +378,6 @@ def _seed_spacing(setup: TrapSetup, p_theta) -> float:
     which rises from 0 at a_min, where beta(a_min) = beta_max.  Returns
     the root a of P_theta(a) = |p_theta|.
     """
-    from scipy.optimize import brentq
-
     alpha_z = setup.axial_ratio
     beta_max = beta_from_ratio(0.5, alpha_z)
     lattice = hex_lattice(setup.ion_count)
@@ -347,7 +396,7 @@ def _seed_spacing(setup: TrapSetup, p_theta) -> float:
     a_hi = 2.0 * a_min
     while mismatch(a_hi) < 0.0:
         a_hi *= 2.0
-    return brentq(mismatch, a_min, a_hi, xtol=1e-12 * a_hi)
+    return _brentq(mismatch, a_min, a_hi, xtol=1e-12 * a_hi)
 
 
 def _seed_positions(setup: TrapSetup, p_theta):
@@ -650,10 +699,11 @@ def _solve_at_fixed_ptheta(seeds, target, alpha_z):
     carries P_theta.
 
     Each seed runs one loop over one (positions, beta) pair, starting from
-    the seed at its virial anisotropy: a closed-form solve of the scaling
-    model I(beta) = I_a (beta_a / beta)^(2/3) anchored on the pair picks the
-    next alpha_r, the positions are rescaled by (beta_a / beta)^(1/3) and
-    Newton refinement at that alpha_r gives the next pair.  For planar
+    the seed at its virial anisotropy: the root of the scaling model
+    I(beta) = I_a (beta_a / beta)^(2/3) anchored on the pair, bracketed and
+    found by Brent's method (``_brentq``), picks the next alpha_r, the
+    positions are rescaled by (beta_a / beta)^(1/3) and Newton refinement
+    at that alpha_r gives the next pair.  For planar
     crystals the model is exact, so the iteration converges in a couple of
     refinements.  P_theta = 0 is the one-refinement case alpha_r = 1/2.  Each
     round refines every unmatched seed in one ``_refine_in_lockstep``.
@@ -701,8 +751,6 @@ def _solve_at_fixed_ptheta(seeds, target, alpha_z):
 def _next_rotation_frequency(positions, beta, target, alpha_z):
     """The alpha_r at which the scaling model anchored on (positions, beta)
     carries ``target``, each step within a bounded anisotropy move."""
-    from scipy.optimize import brentq
-
     beta_max = beta_from_ratio(0.5, alpha_z)
     if target == 0.0:
         s_next = 0.0
@@ -722,7 +770,7 @@ def _next_rotation_frequency(positions, beta, target, alpha_z):
         elif model(hi) <= 0.0:
             s_next = hi
         else:
-            s_next = brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
+            s_next = _brentq(model, lo, hi, xtol=1e-16, rtol=8.9e-16, maxiter=200)
     alpha_r = 0.5 - s_next
     if beta_from_ratio(alpha_r, alpha_z) <= 0.0:
         raise ValueError("rotation frequency outside the confined window")

@@ -2,6 +2,10 @@
 refinement."""
 
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ from penninggate import (
     StabilityClass,
     TrapSetup,
     anneal,
+    beta_from_ratio,
     find_equilibrium,
     load_state,
     newton_refine,
@@ -20,13 +25,16 @@ from penninggate import (
     stability_class,
     total_angular_momentum,
 )
+from penninggate import crystal
 from penninggate.crystal import (
     CrystalState,
+    _gradient,
     _implied_anisotropy,
+    _pair_distances,
     _reduced_objective,
     _seed_positions,
+    _trap_curvature,
     effective_potential,
-    effective_potential_gradient,
     effective_potential_hessian,
     hex_lattice,
     reduced_energy,
@@ -44,6 +52,14 @@ def pair_distance_oracle(alpha_z):
     res = minimize_scalar(lambda d: kappa * d**2 / 4.0 + 1.0 / d, bounds=(0.1, 100.0),
                           method="bounded", options={"xatol": 1e-12})
     return res.x
+
+
+def effective_potential_gradient(positions, alpha_r, axial_ratio):
+    """Analytic gradient of the effective potential, shape (N, d) for (N, d)
+    positions, from the kernel that the search and the Newton loop call."""
+    positions = np.asarray(positions, dtype=float)
+    curvature = _trap_curvature(alpha_r, axial_ratio, positions.shape[1])
+    return _gradient(positions, curvature, _pair_distances(positions) ** -3)
 
 
 def ring_counts(positions, rel_gap=1.6):
@@ -199,8 +215,6 @@ def test_newton_refine_snaps_a_planar_crystal_to_the_plane(eq_high):
 
 
 def test_planar_pair_refines_in_the_plane(small_pair_setup, monkeypatch):
-    from penninggate import crystal
-
     shapes = []
     original = crystal._hessian
 
@@ -222,7 +236,6 @@ def test_planar_class_forced_on_a_3d_point_fails_the_axial_check(beryllium, monk
     # N = 8 at P_theta = 2000 equilibrates at beta = 0.48 > beta_c(8) = 0.235:
     # forced into the plane, the search and refinement converge on a saddle
     # along z, which the axial-block Cholesky rejects
-    from penninggate import crystal
 
     setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
     monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.PLANAR_2D)
@@ -238,8 +251,6 @@ def test_planar_class_forced_on_a_3d_point_fails_the_axial_check(beryllium, monk
 
 def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):
     # each round of the outer P_theta solve is one lock-step refinement
-    from penninggate import crystal
-
     steps = []
     original = crystal._refine_in_lockstep
 
@@ -272,8 +283,6 @@ def same_outcome(a, b):
 def test_each_seed_solved_alone_equals_its_row_of_the_lockstep_batch(beryllium, n_ions,
                                                                     p_theta, seed):
     # the fig4 search, and a 3D one whose candidates refine in all 3N coordinates
-    from penninggate import crystal
-
     setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, n_ions)
     seeds = [c.positions for c in anneal(setup, p_theta, AnnealSchedule(seed=seed))]
     batch = crystal._solve_at_fixed_ptheta(seeds, p_theta, 0.02)
@@ -286,8 +295,6 @@ def test_each_seed_solved_alone_equals_its_row_of_the_lockstep_batch(beryllium, 
 def test_a_lockstep_batch_refines_in_the_plane_and_in_space_as_alone(setup_high, eq_high):
     # the fig4 candidates in the plane, next to a planar crystal lifted off
     # it, which relaxes in 3N coordinates and then snaps to the plane
-    from penninggate import crystal
-
     candidates = anneal(setup_high, 1.3e5, AnnealSchedule(seed=11))
     lifted = eq_high.positions.copy()
     lifted[:, 2] = 1e-7 * np.random.default_rng(2).standard_normal(eq_high.n_ions)
@@ -302,9 +309,6 @@ def test_a_lockstep_batch_refines_in_the_plane_and_in_space_as_alone(setup_high,
 
 
 def test_a_failing_candidate_leaves_its_batch_mates_unchanged(beryllium, monkeypatch):
-    from penninggate import crystal
-    from penninggate.scales import beta_from_ratio
-
     setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
     candidates = anneal(setup, 2000.0, AnnealSchedule(seed=3))
     starts = [c.positions for c in candidates]
@@ -331,8 +335,6 @@ def test_the_search_failure_names_the_last_candidate_in_start_order(beryllium, m
     # the message names the one that comes last among the starts
     from types import SimpleNamespace
 
-    from penninggate import crystal
-
     setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 8)
     monkeypatch.setattr(crystal, "stability_class", lambda beta, n: StabilityClass.PLANAR_2D)
     saddle = anneal(setup, 2000.0, AnnealSchedule(cycles=1, seed=3))[0].positions
@@ -351,8 +353,6 @@ def test_newton_refine_forms_the_pair_distances_once_per_position(setup_high, mo
     # one pass for the start and one per line-search trial (this candidate
     # takes every full step); the accepted trial's distances serve the next
     # gradient and Hessian, and the returned state
-    from penninggate import crystal
-
     candidate = anneal(setup_high, 1.3e5, AnnealSchedule(cycles=1, seed=3))[0]
     passes = []
     original = crystal._pair_distances
@@ -595,3 +595,211 @@ def test_search_repeats_bit_for_bit(setup_high, eq_high):
     again = find_equilibrium(setup_high, 1.3e5, AnnealSchedule(seed=7))
     np.testing.assert_array_equal(again.positions, eq_high.positions)
     assert again.rotation_frequency == eq_high.rotation_frequency
+
+
+# the outer P_theta solve's root finds: Brent's method without scipy.optimize
+
+GENERIC_FUNCTIONS = (
+    lambda x: x**3 - 2.0 * x - 5.0,
+    lambda x: math.exp(x) - 3.0,
+    lambda x: math.sin(x) - 0.3,
+    lambda x: math.atan(x - 0.7),
+    lambda x: (x - 0.3) ** 5,
+    lambda x: x * math.exp(-x) - 0.1,
+    lambda x: math.copysign(abs(x - 0.123) ** 0.3, x - 0.123),
+    lambda x: math.tanh(20.0 * (x - 0.5)) + 1e-3,
+    # values so small that the interpolation's denominators underflow to 0
+    lambda x: 1e-300 * math.atan(x - 0.3),
+    lambda x: 1e-160 * (math.exp(x) - 2.0),
+)
+
+
+def root_or_error(solver, f, a, b, **tolerances):
+    try:
+        return solver(f, a, b, **tolerances)
+    except (RuntimeError, ValueError) as exc:
+        return type(exc)
+
+
+def test_brentq_returns_scipys_float_at_both_call_sites_and_on_generic_functions(beryllium,
+                                                                                monkeypatch):
+    from scipy.optimize import brentq
+
+    original, calls = crystal._brentq, []
+
+    def recorded(f, a, b, **tolerances):
+        calls.append((f, a, b, tolerances))
+        return original(f, a, b, **tolerances)
+
+    monkeypatch.setattr(crystal, "_brentq", recorded)
+    rng = np.random.default_rng(2024)
+    for _ in range(1500):
+        n_ions = int(rng.integers(2, 40))
+        alpha_z = float(10.0 ** rng.uniform(-2.3, math.log10(0.7)))
+        setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, alpha_z, n_ions)
+        crystal._seed_spacing(setup, float(10.0 ** rng.uniform(-1.0, 7.0)))
+    while len(calls) < 5000:
+        alpha_z = float(10.0 ** rng.uniform(-2.3, math.log10(0.7)))
+        beta_max = 0.25 / alpha_z**2 - 0.5
+        positions = float(10.0 ** rng.uniform(0.0, 2.0)) * rng.standard_normal((30, 3))
+        beta = beta_max * float(10.0 ** rng.uniform(-6.0, -0.01))
+        # a target whose model root lies inside the bounded anisotropy move
+        beta_root = min(beta * float(64.0 ** rng.uniform(-1.0, 1.0)), 0.999 * beta_max)
+        inertia = float(np.sum(positions[:, :2] ** 2))
+        target = (inertia * (beta / beta_root) ** (2.0 / 3.0)
+                  * alpha_z * math.sqrt(beta_max - beta_root))
+        crystal._next_rotation_frequency(positions, beta, target, alpha_z)
+    monkeypatch.undo()
+    assert len(calls) >= 5000
+    for f, a, b, tolerances in calls:
+        assert crystal._brentq(f, a, b, **tolerances) == brentq(f, a, b, **tolerances)
+
+    matched = 0
+    for case in range(5000):
+        f = GENERIC_FUNCTIONS[case % len(GENERIC_FUNCTIONS)]
+        centre = float(rng.uniform(-3.0, 3.0))
+        g = (lambda f, c: lambda x: f(x) - f(c))(f, centre)
+        a = centre - float(rng.exponential(2.0))
+        b = centre + float(rng.exponential(2.0))
+        if rng.random() < 0.5:
+            a, b = b, a
+        tolerances = dict(xtol=float(10.0 ** rng.uniform(-16.0, -2.0)),
+                          rtol=8.881784197001252e-16 * float(10.0 ** rng.uniform(0.0, 8.0)),
+                          maxiter=int(rng.integers(1, 100)))
+        ours = root_or_error(crystal._brentq, g, a, b, **tolerances)
+        assert ours == root_or_error(brentq, g, a, b, **tolerances), (case, a, b, tolerances)
+        matched += isinstance(ours, float)
+    # most brackets converge; the rest run out of steps in both
+    assert matched > 4000
+
+
+@pytest.mark.parametrize("f, a, b, tolerances, error", [
+    (lambda x: x * x + 1.0, -1.0, 2.0, {}, ValueError),
+    (lambda x: x - 1.0, 2.0, 3.0, {}, ValueError),
+    (lambda x: math.nan, 0.0, 1.0, {}, ValueError),
+    (lambda x: math.nan if x > 0.2 else x - 0.5, 0.0, 1.0, {}, ValueError),
+    (lambda x: x**3 - 2.0 * x - 5.0, 0.0, 3.0, {"maxiter": 2}, RuntimeError),
+    (lambda x: math.exp(x) - 3.0, -10.0, 10.0, {"xtol": 1e-16, "maxiter": 5}, RuntimeError),
+])
+def test_brentq_errors_are_scipys(f, a, b, tolerances, error):
+    from scipy.optimize import brentq
+
+    for solver in (brentq, crystal._brentq):
+        with pytest.raises(error):
+            solver(f, a, b, **tolerances)
+
+
+@pytest.mark.parametrize("failure", ["maxiter", "nan"])
+def test_a_failed_root_find_is_that_seeds_outcome(eq_low_p0, eq_low_p4000, failure,
+                                                 monkeypatch):
+    seeds = [eq_low_p0.positions, eq_low_p4000.positions]
+    (alone,) = crystal._solve_at_fixed_ptheta(seeds[1:], 4000.0, 0.7)
+    original, calls = crystal._brentq, []
+
+    def failing_first(f, a, b, **tolerances):
+        calls.append(a)
+        if len(calls) == 1:
+            if failure == "maxiter":
+                tolerances["maxiter"] = 1
+            else:
+                f = lambda x: math.nan  # noqa: E731
+        return original(f, a, b, **tolerances)
+
+    monkeypatch.setattr(crystal, "_brentq", failing_first)
+    outcomes = crystal._solve_at_fixed_ptheta(seeds, 4000.0, 0.7)
+    assert len(calls) > 1
+    error = RuntimeError if failure == "maxiter" else ValueError
+    assert type(outcomes[0]) is error
+    assert same_outcome(outcomes[1], alone)
+
+
+@pytest.mark.parametrize("n_ions, alpha_z, p_theta", [
+    (30, 0.02, 1.3e5), (30, 0.02, -1.3e5), (30, 0.7, 4000.0), (100, 0.02, 1.2e6), (2, 0.7, 10.0),
+])
+def test_seed_spacing_carries_the_angular_momentum(beryllium, n_ions, alpha_z, p_theta):
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, alpha_z, n_ions)
+    spacing = crystal._seed_spacing(setup, p_theta)
+    positions = np.zeros((n_ions, 3))
+    positions[:, :2] = spacing * hex_lattice(n_ions)
+    # the virial anisotropy, and the slow rotation frequency that gives it
+    inertia = float(np.sum(positions**2))
+    beta = crystal.coulomb_energy(positions) / (alpha_z**2 * inertia)
+    alpha_r = 0.5 - math.sqrt(0.25 - alpha_z**2 * (beta + 0.5))
+    assert total_angular_momentum(positions, alpha_r) == pytest.approx(abs(p_theta), rel=1e-12)
+
+
+def test_seed_spacing_at_zero_momentum_and_for_one_ion(beryllium):
+    setup = TrapSetup(beryllium, 2 * math.pi * 7.608e6, 0.02, 30)
+    spacing = crystal._seed_spacing(setup, 0.0)
+    # a_min: the virial anisotropy is beta_max, where alpha_r = 1/2
+    beta_max = 0.25 / 0.02**2 - 0.5
+    assert _implied_anisotropy(spacing * hex_lattice(30), 0.02) == pytest.approx(beta_max,
+                                                                                 rel=1e-12)
+    assert crystal._seed_spacing(replace(setup, ion_count=1), 1.3e5) == 1.0
+
+
+def scaling_model(positions, beta, target, alpha_z):
+    """I(beta) s - P_theta with I(beta) = I_a (beta_a / beta)^(2/3) and
+    beta = beta_max - s^2 / alpha_z^2."""
+    inertia = float(np.sum(positions[:, :2] ** 2))
+    beta_max = 0.25 / alpha_z**2 - 0.5
+    return lambda s: inertia * (beta / (beta_max - s**2 / alpha_z**2)) ** (2.0 / 3.0) * s - target
+
+
+@pytest.mark.parametrize("alpha_z, beta, target", [
+    (0.02, 0.04, 1.3e5), (0.02, 0.3, 1.3e5), (0.7, 3.4e-4, 4000.0), (0.7, 1e-3, 4000.0),
+])
+def test_next_rotation_frequency_is_the_scaling_model_root(eq_high, alpha_z, beta, target):
+    positions = eq_high.positions
+    s = 0.5 - crystal._next_rotation_frequency(positions, beta, target, alpha_z)
+    model = scaling_model(positions, beta, target, alpha_z)
+    # the root lies within the tolerance the root find stops at
+    tol = 1e-16 + 8.9e-16 * s
+    assert model(s - tol) <= 0.0 <= model(s + tol)
+
+
+def test_next_rotation_frequency_clamps_the_anisotropy_move(eq_high):
+    positions, beta, alpha_z = eq_high.positions, 0.04, 0.02
+    model = scaling_model(positions, beta, 1.0, alpha_z)
+    # a target too small for the bracket: beta may rise at most 64-fold
+    lo_target = model(0.02 * math.sqrt(0.25 / 0.02**2 - 0.5 - 64.0 * beta)) + 1.0
+    alpha_r = crystal._next_rotation_frequency(positions, beta, 0.5 * lo_target, alpha_z)
+    assert beta_from_ratio(alpha_r, alpha_z) == pytest.approx(64.0 * beta, rel=1e-9)
+    # and too large: beta may fall at most 64-fold
+    hi_target = model(0.02 * math.sqrt(0.25 / 0.02**2 - 0.5 - beta / 64.0)) + 1.0
+    alpha_r = crystal._next_rotation_frequency(positions, beta, 2.0 * hi_target, alpha_z)
+    assert beta_from_ratio(alpha_r, alpha_z) == pytest.approx(beta / 64.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha_z", [0.75, 1.0])
+def test_next_rotation_frequency_outside_the_confined_window(eq_high, alpha_z):
+    with pytest.raises(ValueError, match="outside the confined window"):
+        crystal._next_rotation_frequency(eq_high.positions, 0.04, 0.0, alpha_z)
+
+
+WARM_START_SCRIPT = """
+import math, sys
+from penninggate import (AnnealSchedule, GateSpec, TrapSetup, build_hessian, calibrated_phase,
+                         find_equilibrium, get_species, load_state, williamson)
+setup = TrapSetup(get_species("Be+").species, 2 * math.pi * 76.08e3, 0.7, 30)
+state = find_equilibrium(setup, 4000.0, initial_positions=load_state(sys.argv[1]).positions)
+spectrum = williamson(build_hessian(state))
+tau_r = 2 * math.pi / (state.rotation_frequency * setup.cyclotron_frequency)
+spec = GateSpec(target_pair=(0, 1), carrier_frequency=0.51 * setup.cyclotron_frequency,
+                gate_time=6e-3 * tau_r)
+amplitude, phase = calibrated_phase(spec, spectrum, state, setup)
+assert state.converged and abs(abs(phase.theta) - math.pi) < 1e-9
+print("warm", "scipy.optimize" in sys.modules)
+find_equilibrium(setup, 4000.0, AnnealSchedule())
+print("search", "scipy.optimize" in sys.modules)
+"""
+
+
+def test_warm_started_pipeline_does_not_import_scipy_optimize():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", WARM_START_SCRIPT,
+                           str(DATA / "eq30_reference.txt")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["warm", "False", "search", "True"]
