@@ -59,6 +59,8 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
     def __post_init__(self):
+        from numbers import Real
+
         for field in fields(self):
             val = getattr(self, field.name)
             if isinstance(val, (float, tuple)) and not np.isfinite(val).all():
@@ -70,6 +72,8 @@ class ExperimentConfig:
             raise ValueError("temperature grid must be strictly increasing and positive")
         if not (self.tau_ratio or 0) > 0:
             raise ValueError(f"tau_ratio must be set and positive, got {self.tau_ratio}")
+        if self.nu_hz != "auto-gap" and not isinstance(self.nu_hz, Real):
+            raise ValueError(f"nu_hz must be a positive number or auto-gap, got {self.nu_hz!r}")
         for key in ("sigma_fraction", "nu_hz"):
             if getattr(self, key) not in (None, "auto-gap") and not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key):g}")
@@ -278,12 +282,6 @@ def resolve_carrier(bands):
     return 0.5 * (lo + hi)
 
 
-def tune_carrier(candidates, evaluate):
-    """Pick the candidate carrier minimizing the evaluated infidelity."""
-    scored = [(evaluate(nu), nu) for nu in candidates]
-    return min(scored)[1]
-
-
 @dataclass(frozen=True)
 class RunArtifacts:
     """What a run computed, None past its last stage; its files sit in
@@ -308,8 +306,7 @@ def _csv(columns, rows):
 def _write_spectrum(path, spectrum, bands, setup):
     n = spectrum.reference.n_ions
     nu_c = setup.cyclotron_frequency / (2.0 * math.pi)
-    a_pos = spectrum.position_coefficients()
-    weights = np.abs(a_pos) ** 2
+    weights = np.abs(spectrum.position_block) ** 2
     weights = weights.reshape(len(weights), n, 3).sum(axis=2)
     weights = weights / weights.sum(axis=1, keepdims=True)
     columns = ["mode", "omega_over_omega_c", "nu_hz", "band", "regularized"]
@@ -391,8 +388,9 @@ def _gate_stage(config: ExperimentConfig, setup, state, spectrum, bands):
         lo, hi = _widest_gap(bands)
         span = hi - lo
         candidates = np.linspace(lo + 0.2 * span, hi - 0.2 * span, 13) * omega_c
-    gates = {nu: gate(nu) for nu in candidates}
-    return pair, tau_r, gates[tune_carrier(gates, lambda nu: 1.0 - gates[nu].fidelity_curve[0][1])]
+    # the candidates ascend, so a tie goes to the lowest carrier
+    best = min((gate(nu) for nu in candidates), key=lambda g: 1.0 - g.fidelity_curve[0][1])
+    return pair, tau_r, best
 
 
 def run_experiment(config: ExperimentConfig, last="gate") -> RunArtifacts:

@@ -658,6 +658,9 @@ def find_equilibrium(setup: TrapSetup, p_theta, schedule: AnnealSchedule = Annea
     in-plane coordinates and come back with z exactly 0; a candidate that
     converges in the plane on a saddle along z is one whose refinement fails.
     """
+    if setup.ion_count == 1 and p_theta != 0.0:
+        raise ValueError(f"a single ion sits on the trap axis, where P_theta is 0, so "
+                         f"P_theta = {p_theta:g} cannot be matched")
     alpha_z = setup.axial_ratio
     mirror = p_theta < 0.0
     target = abs(p_theta)

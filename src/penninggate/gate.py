@@ -199,6 +199,9 @@ class _Drive:
 
 def _pair_geometry(state: CrystalState, pair):
     j1, j2 = pair
+    if not (0 <= j1 < state.n_ions and 0 <= j2 < state.n_ions):
+        raise ValueError(f"target pair {tuple(pair)} lies outside the crystal: ion indices "
+                         f"must be in [0, {state.n_ions})")
     sep = state.positions[j1, :2] - state.positions[j2, :2]
     dist = float(np.hypot(sep[0], sep[1]))
     if dist < 1e-12:
@@ -206,14 +209,13 @@ def _pair_geometry(state: CrystalState, pair):
     return sep / dist, dist
 
 
-def _force_prefactor(spec: GateSpec, state, setup, amplitude=None):
+def _force_prefactor(spec: GateSpec, state, setup):
     """Scalar in front of the carrier in the dimensionless force magnitude."""
     scales = derive_scales(setup)
     freqs = trap_frequencies(setup)
     _, dist = _pair_geometry(state, spec.target_pair)
-    amp = spec.amplitude if amplitude is None else amplitude
     omega_xy = freqs.omega_xy / setup.cyclotron_frequency
-    return amp * scales.hbar_tilde * omega_xy / dist
+    return spec.amplitude * scales.hbar_tilde * omega_xy / dist
 
 
 def pair_couplings(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState, setup: TrapSetup):
@@ -224,13 +226,13 @@ def pair_couplings(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState, 
         raise ValueError("spectrum and state disagree on the ion count")
     scales = derive_scales(setup)
     unit, _ = _pair_geometry(state, spec.target_pair)
-    rows = spectrum.position_coefficients().T
+    rows = spectrum.position_block.T
     x = 3 * np.asarray(spec.target_pair)
     return (unit[0] * rows[x] + unit[1] * rows[x + 1]) / math.sqrt(2.0 * scales.hbar_tilde)
 
 
 def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
-                          setup: TrapSetup, amplitude=None):
+                          setup: TrapSetup):
     """Per-mode residual displacement integrals of both driven ions, shape (2, 3N).
 
     Row r holds I_k = omega_k^(-1/2) * integral_0^tau exp(i omega_k t)
@@ -241,7 +243,7 @@ def residual_displacement(spec: GateSpec, spectrum: ModeSpectrum, state: Crystal
     zeros and take no drive integral.
     """
     couplings = pair_couplings(spec, spectrum, state, setup)
-    prefactor = _force_prefactor(spec, state, setup, amplitude=amplitude)
+    prefactor = _force_prefactor(spec, state, setup)
     bright = np.any(couplings != 0.0, axis=0)
     omegas = spectrum.frequencies[bright]
     integral = _Drive.of(spec, setup).transform(omegas, prefactor)
@@ -260,7 +262,6 @@ def phase_kernel(spec: GateSpec, spectrum: ModeSpectrum, setup: TrapSetup):
 class PhaseResult:
     theta: float
     by_state: dict
-    mode_phases: np.ndarray
 
 
 def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
@@ -281,9 +282,7 @@ def two_qubit_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
         weights = s1 * w1 + s2 * w2
         by_state[label] = float(np.sum(np.abs(prefactor * weights) ** 2 * kernel))
     cross = 8.0 * np.real(w1 * np.conj(w2)) * kernel
-    force2 = abs(prefactor) ** 2
-    return PhaseResult(theta=float(force2 * cross.sum()), by_state=by_state,
-                       mode_phases=force2 * cross)
+    return PhaseResult(theta=float(abs(prefactor) ** 2 * cross.sum()), by_state=by_state)
 
 
 def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
@@ -301,7 +300,6 @@ def calibrated_phase(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState
     return amplitude, PhaseResult(
         theta=probe.theta * scale,
         by_state={label: value * scale for label, value in probe.by_state.items()},
-        mode_phases=probe.mode_phases * scale,
     )
 
 
@@ -311,52 +309,50 @@ def calibrate_amplitude(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalSt
     return calibrated_phase(spec, spectrum, state, setup)[0]
 
 
-def thermal_weights(frequencies, temperature, setup: TrapSetup, skip=None):
-    """Per-mode factor 1/(1 - exp(-hbar omega_k / k_B T)) with physical omega;
-    an array of temperatures gives one row of factors per temperature."""
-    temperature = np.asarray(temperature, dtype=float)
-    if not np.all((temperature > 0) & np.isfinite(temperature)):
+def thermal_weights(frequencies, temperatures, setup: TrapSetup):
+    """Per-mode factors 1/(1 - exp(-hbar omega_k / k_B T)) with physical omega,
+    shape (len(temperatures), len(frequencies)): ``temperatures`` is a
+    sequence in K, and row i holds the factors at ``temperatures[i]``."""
+    temperatures = np.asarray(temperatures, dtype=float)
+    if not np.all((temperatures > 0) & np.isfinite(temperatures)):
         raise ValueError("temperature must be positive and finite")
     energies = const.hbar * np.asarray(frequencies) * setup.cyclotron_frequency
-    out = 1.0 / -np.expm1(-energies / (const.k * temperature)[..., None])
-    if skip is not None:
-        out[..., skip] = 0.0
-    return out
+    return 1.0 / -np.expm1(-energies / (const.k * temperatures)[:, None])
 
 
 def fidelity(residual_1, residual_2, amplitude, spectrum: ModeSpectrum,
-             temperature, setup: TrapSetup):
+             temperatures, setup: TrapSetup):
     """Thermal gate fidelity, worst case over the two sign branches.
 
     F = min_(+/-) prod_k exp[-(A^2/4) |I_k1 +/- I_k2|^2 / (1 - e^(-hbar
     omega_k / k_B T))]; the regularized rotation mode is not a physical
-    oscillator and is excluded from the product.  Returns (F, branch), with
-    "+" on a tie; a sequence of temperatures gives a list of them, its
-    exponents formed in one array pass.
+    oscillator and is excluded from the product.  ``temperatures`` is a
+    sequence in K; the result is one row (T, F, branch) per temperature, in
+    its order, with T a float and branch "+" on a tie.  Every row's
+    exponents are formed in one array pass.
     """
-    weights = thermal_weights(
-        spectrum.frequencies, temperature, setup, skip=spectrum.regularized_mode
-    )
+    temps = [float(temp) for temp in temperatures]
+    weights = thermal_weights(spectrum.frequencies, temps, setup)
+    if spectrum.regularized_mode is not None:
+        weights[:, spectrum.regularized_mode] = 0.0
     combos = np.stack([np.abs(residual_1 + sign * residual_2) ** 2 for sign in (1.0, -1.0)])
-    exponents = amplitude**2 / 4.0 * np.sum(combos[:, None] * np.atleast_2d(weights), axis=-1)
+    exponents = amplitude**2 / 4.0 * np.sum(combos[:, None] * weights, axis=-1)
     # the larger exponent is the smaller F
-    rows = [(math.exp(-max(plus, minus)), "-" if minus > plus else "+")
-            for plus, minus in exponents.T.tolist()]
-    return rows if np.ndim(temperature) else rows[0]
+    return [(temp, math.exp(-max(plus, minus)), "-" if minus > plus else "+")
+            for temp, (plus, minus) in zip(temps, exponents.T.tolist())]
 
 
 def fidelity_curve(spec: GateSpec, spectrum: ModeSpectrum, state: CrystalState,
                    setup: TrapSetup, temperatures, amplitude=None):
-    """Fidelity vs temperature rows (T, F, branch) at the calibrated amplitude.
+    """Fidelity vs temperature rows (T, F, branch) at the pulse's amplitude,
+    or at ``amplitude`` when given.
 
     One drive integral gives both ions' residuals, and one array pass gives
     every temperature's thermal exponents.
     """
     amp = spec.amplitude if amplitude is None else amplitude
-    res1, res2 = residual_displacement(spec, spectrum, state, setup, amplitude=1.0)
-    temps = [float(temp) for temp in temperatures]
-    return [(temp, value, branch) for temp, (value, branch)
-            in zip(temps, fidelity(res1, res2, amp, spectrum, temps, setup))]
+    res1, res2 = residual_displacement(replace(spec, amplitude=1.0), spectrum, state, setup)
+    return fidelity(res1, res2, amp, spectrum, temperatures, setup)
 
 
 @dataclass(frozen=True)

@@ -65,10 +65,6 @@ class ModeSpectrum:
     def n_modes(self) -> int:
         return len(self.frequencies)
 
-    def position_coefficients(self):
-        """A restricted to position columns, shape (3N, 3N)."""
-        return self.position_block
-
 
 def symplectic_form(n_dof: int):
     """Block-diagonal symplectic form J for n_dof (q, p) pairs."""
@@ -324,47 +320,28 @@ def classify_bands(spectrum: ModeSpectrum, setup: TrapSetup) -> BandClassificati
 
     Axial character is decided by the displacement weight on z coordinates;
     in-plane modes split at the largest relative frequency gap into the low
-    (ExB) and high (cyclotron) branch.  The regularized rotation mode does
-    not contribute to band intervals.
+    (ExB) and high (cyclotron) branch.  The regularized rotation mode is
+    labelled ExB but takes no part in the split or the band intervals.
     """
-    weight = np.abs(spectrum.position_coefficients()) ** 2  # columns x, y, z per ion
+    weight = np.abs(spectrum.position_block) ** 2  # columns x, y, z per ion
     axial = weight[:, 2::3].sum(axis=1) > (weight[:, 0::3] + weight[:, 1::3]).sum(axis=1)
+    regularized = np.arange(spectrum.n_modes) == spectrum.regularized_mode
+    freqs = spectrum.frequencies
+    usable = np.flatnonzero(~axial & ~regularized)
+    order = usable[np.argsort(freqs[usable])]
+    ratios = freqs[order[1:]] / np.maximum(freqs[order[:-1]], 1e-300)
+    cyclotron = np.zeros(spectrum.n_modes, dtype=bool)
+    if ratios.size:
+        cyclotron[order[int(np.argmax(ratios)) + 1:]] = True
 
-    labels = [""] * spectrum.n_modes
-    inplane = []
-    for k in range(spectrum.n_modes):
-        if axial[k]:
-            labels[k] = "axial"
-        else:
-            inplane.append(k)
-
-    usable = [k for k in inplane if k != spectrum.regularized_mode]
-    if len(usable) >= 2:
-        freqs = spectrum.frequencies[usable]
-        order = np.argsort(freqs)
-        sorted_f = freqs[order]
-        ratios = sorted_f[1:] / np.maximum(sorted_f[:-1], 1e-300)
-        split = int(np.argmax(ratios)) + 1
-        low = {usable[order[i]] for i in range(split)}
-        for k in inplane:
-            labels[k] = "ExB" if (k in low or k == spectrum.regularized_mode) else "cyclotron"
-    else:
-        for i, k in enumerate(sorted(inplane, key=lambda k: spectrum.frequencies[k])):
-            labels[k] = "ExB" if i == 0 else "cyclotron"
-
+    labels = np.where(axial, "axial", np.where(cyclotron, "cyclotron", "ExB")).tolist()
     intervals = {}
-    for band in ("ExB", "cyclotron", "axial"):
-        members = [
-            spectrum.frequencies[k]
-            for k in range(spectrum.n_modes)
-            if labels[k] == band and k != spectrum.regularized_mode
-        ]
-        if members:
-            intervals[band] = (float(min(members)), float(max(members)))
-
+    for band, mask in (("ExB", ~axial & ~cyclotron), ("cyclotron", cyclotron), ("axial", axial)):
+        members = freqs[mask & ~regularized]
+        if members.size:
+            intervals[band] = (float(members.min()), float(members.max()))
     spans = sorted(intervals.items(), key=lambda item: item[1][0])
-    gaps = []
-    for (name_a, span_a), (name_b, span_b) in zip(spans, spans[1:]):
-        if span_b[0] > span_a[1]:
-            gaps.append((span_a[1], span_b[0], name_a, name_b))
+    gaps = [(span_a[1], span_b[0], name_a, name_b)
+            for (name_a, span_a), (name_b, span_b) in zip(spans, spans[1:])
+            if span_b[0] > span_a[1]]
     return BandClassification(labels=labels, intervals=intervals, gaps=gaps)

@@ -41,7 +41,7 @@ from penninggate.beams import (
     solve_intensity_ratio,
     verify_conditions,
 )
-from penninggate.bench import resolve_carrier, run_experiment, sweep, tune_carrier
+from penninggate.bench import resolve_carrier, run_experiment, sweep
 from penninggate.gate import _Drive
 from penninggate.modes import symplectic_form
 
@@ -206,7 +206,7 @@ def test_criterion_6_form_factor_claims(setup_high, spectrum_fig4):
 
     # the leading nu^-2 term cancels between distinct ions at any alpha_r:
     # sum_k w_k Re(A_ka A_kb*) = delta_ab, here at the fig4 alpha_r << 1/2
-    a = spectrum_fig4.position_coefficients()
+    a = spectrum_fig4.position_block
     gram = np.real((spectrum_fig4.frequencies[:, None] * a).T @ a.conj())
     off = np.abs(gram - np.eye(len(gram))).max()
 
@@ -243,7 +243,7 @@ def test_criterion_7_gate_fidelity(setup_high, eq_high, spectrum_high, bands_hig
                                amplitude=amp_t)
         return 1.0 - frows[0][1]
 
-    tuned = tune_carrier(np.linspace(lo + 0.2 * span, hi - 0.2 * span, 9), evaluate)
+    tuned = min(np.linspace(lo + 0.2 * span, hi - 0.2 * span, 9), key=evaluate)
     tuned_infidelity = evaluate(tuned)
 
     ok = (

@@ -173,9 +173,10 @@ def test_config_temperature_grid_validation(tmp_path):
     ("p_theta = inf", "p_theta must be finite, got inf"),
     ("sigma_fraction = inf", "sigma_fraction must be finite, got inf"),
     ("seed = -1", "seed must be nonnegative, got -1"),
+    ("nu_hz = gap", "nu_hz must be a positive number or auto-gap, got 'gap'"),
 ], ids=["tau_ratio", "sigma_fraction", "nu_hz", "anneal_cycles", "anneal_steps", "nu_c_hz_nan",
         "nu_c_hz_inf", "tau_ratio_inf", "nu_hz_inf", "p_theta_inf", "sigma_fraction_inf",
-        "seed"])
+        "seed", "nu_hz_text"])
 def test_config_out_of_range_values_fail_when_built(tmp_path, monkeypatch, line, message):
     # such a value fails when the config is built, not after a search; a
     # sweep point with it is a config row made without a search
@@ -185,11 +186,20 @@ def test_config_out_of_range_values_fail_when_built(tmp_path, monkeypatch, line,
     path = tmp_path / "bad.cfg"
     path.write_text("\n".join([entry for entry in config_lines(small_config(tmp_path))
                                if not entry.startswith(f"{key} ")] + [line]) + "\n")
-    with pytest.raises(ValueError, match=rf"^{tmp_path / 'bad.cfg'}: {message}$"):
-        parse_config(path)
+    try:
+        value = bench._CONFIG_PARSERS[key](val)
+    except ValueError:  # a file's value that its parser refuses fails there, at its line
+        value = val
+        with pytest.raises(ValueError, match=rf"^{path}:\d+: key '{key}': "):
+            parse_config(path)
+    else:
+        with pytest.raises(ValueError, match=rf"^{path}: {message}$"):
+            parse_config(path)
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        replace(small_config(tmp_path), **{key: value})
     searches = []
     monkeypatch.setattr(bench, "find_equilibrium", lambda *args, **kwargs: searches.append(1))
-    text = sweep(small_config(tmp_path), key, [bench._CONFIG_PARSERS[key](val)])
+    text = sweep(small_config(tmp_path), key, [value])
     assert text.splitlines()[1:] == [f"{val}{',' * 10},error:config:ValueError"]
     assert searches == []
 

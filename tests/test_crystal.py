@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -247,6 +248,19 @@ def test_planar_class_forced_on_a_3d_point_fails_the_axial_check(beryllium, monk
         newton_refine(candidate)
     with pytest.raises(RuntimeError, match="no search candidate could be refined .*saddle along z"):
         find_equilibrium(setup, 2000.0, AnnealSchedule(seed=3))
+
+
+@pytest.mark.parametrize("p_theta", [100.0, -2.5])
+def test_a_single_ion_with_nonzero_ptheta_fails_before_any_search(beryllium, p_theta):
+    # a confined single ion sits on the axis, so no rotation frequency gives
+    # it a nonzero P_theta; the search and the outer solve are not started
+    setup = TrapSetup(beryllium, 2 * math.pi * 76.08e3, 0.7, 1)
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^a single ion sits on the trap axis, where P_theta "
+                                         rf"is 0, so P_theta = {p_theta:g} cannot be matched$"):
+        find_equilibrium(setup, p_theta)
+    assert time.perf_counter() - start < 0.1
+    assert find_equilibrium(setup, 0.0).angular_momentum == 0.0
 
 
 def test_refine_iterations_sum_every_refinement(setup_high, monkeypatch):

@@ -110,8 +110,21 @@ def test_calibrated_phase_matches_a_fresh_phase(gate_high, eq_high, spectrum_hig
     scale = max(abs(value) for value in fresh.by_state.values())
     for label, value in fresh.by_state.items():
         assert phase.by_state[label] == pytest.approx(value, abs=1e-13 * scale)
-    np.testing.assert_allclose(phase.mode_phases, fresh.mode_phases, rtol=1e-12,
-                               atol=1e-13 * np.abs(fresh.mode_phases).max())
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (0, 30)], ids=["negative", "past-the-end"])
+def test_a_target_pair_outside_the_crystal_is_refused(spectrum_fig4, setup_high, pair):
+    # a negative index would otherwise drive ion 29, and 30 overruns the array
+    state = spectrum_fig4.reference
+    spec = GateSpec(target_pair=pair, carrier_frequency=0.51 * setup_high.cyclotron_frequency,
+                    gate_time=1e-6)
+    message = rf"^target pair \({pair[0]}, {pair[1]}\) lies outside the crystal: ion indices must " \
+              rf"be in \[0, 30\)$"
+    for call in (calibrate_amplitude, residual_displacement):
+        with pytest.raises(ValueError, match=message):
+            call(spec, spectrum_fig4, state, setup_high)
+    with pytest.raises(ValueError, match=message):
+        gate._force_prefactor(spec, state, setup_high)
 
 
 def test_force_profile_peak_and_direction(gate_high, eq_high, spectrum_high, setup_high):
@@ -125,7 +138,7 @@ def test_force_profile_peak_and_direction(gate_high, eq_high, spectrum_high, set
     peak = force_profile(spec.center, spec, state, setup_high)
     assert peak == pytest.approx(expected, rel=1e-12)
     # each ion couples through its position coefficients along the separation
-    rows = spectrum_high.position_coefficients().T
+    rows = spectrum_high.position_block.T
     along = [(sep[0] * rows[3 * j] + sep[1] * rows[3 * j + 1]) / dist for j in (j1, j2)]
     np.testing.assert_allclose(pair_couplings(spec, spectrum_high, state, setup_high),
                                np.array(along) / math.sqrt(2.0 * scales.hbar_tilde),
@@ -189,19 +202,19 @@ def test_mode_drive_rows_integrate_to_the_residual_rows(gate_high, eq_high, spec
 
 
 def test_residual_displacement_linearity(gate_high, eq_high, spectrum_high, setup_high):
-    base = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                 amplitude=1.0)[0]
-    doubled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                    amplitude=2.0)[0]
+    base = residual_displacement(replace(gate_high, amplitude=1.0), spectrum_high, eq_high,
+                                 setup_high)[0]
+    doubled = residual_displacement(replace(gate_high, amplitude=2.0), spectrum_high, eq_high,
+                                    setup_high)[0]
     np.testing.assert_array_equal(doubled, 2.0 * base)
     # non-binary factors only reshuffle the node-level rounding of the
     # heavily cancelled oscillatory integrals
-    scaled = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                   amplitude=3.5)[0]
+    scaled = residual_displacement(replace(gate_high, amplitude=3.5), spectrum_high, eq_high,
+                                   setup_high)[0]
     np.testing.assert_allclose(scaled, 3.5 * base, rtol=1e-5,
                                atol=1e-5 * 3.5 * np.abs(base).max())
-    zero = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                 amplitude=0.0)[0]
+    zero = residual_displacement(replace(gate_high, amplitude=0.0), spectrum_high, eq_high,
+                                 setup_high)[0]
     assert np.abs(zero).max() == 0.0
 
 
@@ -231,11 +244,10 @@ def test_residual_displacement_quadrature_converged(setup_low, eq_low_p4000, slo
     spectrum, spec = slow_rotation_gate
     drive = gate._Drive.of(spec, setup_low)
     coarse_nodes = drive.transform_grid(spectrum.frequencies).flat_times.size
-    coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low,
-                                   amplitude=1.0)[0]
+    coarse = residual_displacement(spec, spectrum, eq_low_p4000, setup_low)[0]
     monkeypatch.setattr(gate, "_TRANSFORM_HALF_PANEL_PHASE", 0.5 * gate._TRANSFORM_HALF_PANEL_PHASE)
     assert drive.transform_grid(spectrum.frequencies).flat_times.size > coarse_nodes
-    fine = residual_displacement(spec, spectrum, eq_low_p4000, setup_low, amplitude=1.0)[0]
+    fine = residual_displacement(spec, spectrum, eq_low_p4000, setup_low)[0]
     assert not np.array_equal(coarse, fine)
     # modes the drive does not reach (the axial block of this planar
     # crystal) have an exactly zero coupling, hence exactly zero residuals
@@ -265,10 +277,10 @@ def test_residuals_of_modes_the_pair_does_not_reach_are_exact_zeros(
     np.testing.assert_array_equal(transformed[0], spectrum_high.frequencies[~axial])
 
 
-def _per_ion_residual(spec, spectrum, state, setup, row, amplitude):
+def _per_ion_residual(spec, spectrum, state, setup, row):
     """The single-ion residual formula that the pair residuals replaced."""
     coupling = pair_couplings(spec, spectrum, state, setup)[row]
-    prefactor = gate._force_prefactor(spec, state, setup, amplitude=amplitude)
+    prefactor = gate._force_prefactor(spec, state, setup)
     omegas = spectrum.frequencies
     return coupling * gate._Drive.of(spec, setup).transform(omegas, prefactor) / np.sqrt(omegas)
 
@@ -276,12 +288,12 @@ def _per_ion_residual(spec, spectrum, state, setup, row, amplitude):
 @pytest.mark.parametrize("amplitude", [None, 1.0, 3.5])
 def test_pair_residuals_equal_the_per_ion_formula(gate_high, eq_high, spectrum_high,
                                                   setup_high, amplitude):
-    spec = replace(gate_high, amplitude=2.5e4)
-    pair = residual_displacement(spec, spectrum_high, eq_high, setup_high,
-                                 amplitude=amplitude)
+    # None keeps the pulse's own amplitude
+    spec = replace(gate_high, amplitude=2.5e4 if amplitude is None else amplitude)
+    pair = residual_displacement(spec, spectrum_high, eq_high, setup_high)
     assert pair.shape == (2, spectrum_high.n_modes)
     for r, row in enumerate(pair):
-        expected = _per_ion_residual(spec, spectrum_high, eq_high, setup_high, r, amplitude)
+        expected = _per_ion_residual(spec, spectrum_high, eq_high, setup_high, r)
         np.testing.assert_array_equal(row, expected)
 
 
@@ -339,8 +351,7 @@ def _assert_drive_integral_matches_mpmath(drive, omegas, mp):
 def test_residual_matches_ode_displacement(gate_high, eq_high, spectrum_high, setup_high):
     """Independent route: time-stepped integration of the driven-mode ODE."""
     j1 = gate_high.target_pair[0]
-    res = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                amplitude=1.0)[0]
+    res = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)[0]
     couplings = pair_couplings(gate_high, spectrum_high, eq_high, setup_high)
     wc = setup_high.cyclotron_frequency
     tau = gate_high.gate_time * wc
@@ -389,7 +400,7 @@ def test_phase_bilinear_in_single_ion_force(gate_high, eq_high, spectrum_high, s
     theta = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
     # doubling ion j1's three position coefficient columns doubles its coupling
     j1 = gate_high.target_pair[0]
-    block = spectrum_high.position_coefficients().copy()
+    block = spectrum_high.position_block.copy()
     block[:, 3 * j1:3 * j1 + 3] *= 2.0
     doubled = replace(spectrum_high, position_block=block)
     scaled = two_qubit_phase(gate_high, doubled, eq_high, setup_high).theta
@@ -401,10 +412,9 @@ def test_phase_exchange_symmetry(gate_high, eq_high, spectrum_high, setup_high):
     theta_a = two_qubit_phase(gate_high, spectrum_high, eq_high, setup_high).theta
     theta_b = two_qubit_phase(swapped, spectrum_high, eq_high, setup_high).theta
     assert theta_b == pytest.approx(theta_a, rel=1e-12)
-    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                   amplitude=1.0)
-    f_a, _ = fidelity(r1, r2, 1e4, spectrum_high, 1e-3, setup_high)
-    f_b, _ = fidelity(r2, r1, 1e4, spectrum_high, 1e-3, setup_high)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
+    [(_, f_a, _)] = fidelity(r1, r2, 1e4, spectrum_high, [1e-3], setup_high)
+    [(_, f_b, _)] = fidelity(r2, r1, 1e4, spectrum_high, [1e-3], setup_high)
     assert f_b == pytest.approx(f_a, rel=1e-12)
 
 
@@ -551,7 +561,7 @@ def test_calibration_degenerate_drive_error(gate_high, eq_high, spectrum_high, s
     dead = ModeSpectrum(
         frequencies=spectrum_high.frequencies,
         symplectic=spectrum_high.symplectic,
-        position_block=np.zeros_like(spectrum_high.position_coefficients()),
+        position_block=np.zeros_like(spectrum_high.position_block),
         reference=spectrum_high.reference,
         regularized_mode=spectrum_high.regularized_mode,
     )
@@ -561,8 +571,7 @@ def test_calibration_degenerate_drive_error(gate_high, eq_high, spectrum_high, s
 
 def test_fidelity_is_one_without_residuals(spectrum_high, setup_high):
     zeros = np.zeros(spectrum_high.n_modes, dtype=complex)
-    value, _ = fidelity(zeros, zeros, 100.0, spectrum_high, 1e-3, setup_high)
-    assert value == 1.0
+    assert fidelity(zeros, zeros, 100.0, spectrum_high, [1e-3], setup_high) == [(1e-3, 1.0, "+")]
 
 
 def test_fidelity_monotone_in_temperature(gate_high, eq_high, spectrum_high, setup_high):
@@ -581,8 +590,7 @@ def test_fidelity_curve_rows_equal_a_per_temperature_loop(gate_high, eq_high, sp
     temps = [1e-9, *np.geomspace(1e-4, 1e-2, 20)]
     amp = calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
     rows = fidelity_curve(gate_high, spectrum_high, eq_high, setup_high, temps, amplitude=amp)
-    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                   amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
     expected = []
     for temp in temps:
         # the one-temperature formula the array pass replaced
@@ -594,11 +602,11 @@ def test_fidelity_curve_rows_equal_a_per_temperature_loop(gate_high, eq_high, sp
                 for label, sign in (("+", 1.0), ("-", -1.0))}
         branch = max(exps, key=lambda k: exps[k])
         expected.append((temp, math.exp(-exps[branch]), branch))
-        assert fidelity(r1, r2, amp, spectrum_high, temp, setup_high) == expected[-1][1:]
+        assert fidelity(r1, r2, amp, spectrum_high, [temp], setup_high) == expected[-1:]
     assert rows == expected
     # with one ion undriven both branches tie exactly, and a tie picks "+"
     ties = fidelity(r1, np.zeros_like(r1), amp, spectrum_high, temps, setup_high)
-    assert [branch for _, branch in ties] == ["+"] * len(temps)
+    assert [branch for _, _, branch in ties] == ["+"] * len(temps)
 
 
 def test_fidelity_curve_builds_one_grid(gate_high, eq_high, spectrum_high, setup_high,
@@ -617,10 +625,9 @@ def test_fidelity_curve_builds_one_grid(gate_high, eq_high, spectrum_high, setup
 
 
 def test_fidelity_zero_temperature_limit(gate_high, eq_high, spectrum_high, setup_high):
-    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                   amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
     amp = 1e4
-    cold, branch = fidelity(r1, r2, amp, spectrum_high, 1e-9, setup_high)
+    [(_, cold, branch)] = fidelity(r1, r2, amp, spectrum_high, [1e-9], setup_high)
     combos = {
         "+": np.abs(r1 + r2) ** 2,
         "-": np.abs(r1 - r2) ** 2,
@@ -641,12 +648,11 @@ def test_thermal_weights_refuse_a_non_finite_temperature(spectrum_high, setup_hi
 
 def test_fidelity_branch_is_worst_of_four_sign_configs(gate_high, eq_high, spectrum_high,
                                                        setup_high):
-    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high,
-                                   amplitude=1.0)
+    r1, r2 = residual_displacement(gate_high, spectrum_high, eq_high, setup_high)
     amp = calibrate_amplitude(gate_high, spectrum_high, eq_high, setup_high)
-    value, _ = fidelity(r1, r2, amp, spectrum_high, 1e-3, setup_high)
-    weights = thermal_weights(spectrum_high.frequencies, 1e-3, setup_high,
-                              skip=spectrum_high.regularized_mode)
+    [(_, value, _)] = fidelity(r1, r2, amp, spectrum_high, [1e-3], setup_high)
+    [weights] = thermal_weights(spectrum_high.frequencies, [1e-3], setup_high)
+    weights[spectrum_high.regularized_mode] = 0.0
     configs = []
     for s1 in (1, -1):
         for s2 in (1, -1):
@@ -780,7 +786,7 @@ def test_pulse_sequence_feeds_gate(eq_high, spectrum_high, setup_high, pair_high
                     gate_time=float(times[-1]), profile=(times, values))
     theta = two_qubit_phase(spec, spectrum_high, eq_high, setup_high).theta
     assert math.isfinite(theta) and theta != 0.0
-    res = residual_displacement(spec, spectrum_high, eq_high, setup_high, amplitude=1.0)
+    res = residual_displacement(spec, spectrum_high, eq_high, setup_high)
     assert np.all(np.isfinite(res))
 
 
@@ -850,7 +856,7 @@ def test_classical_trajectory_end_to_end_oracle(small_pair_setup, eq_pair):
     a_end = (lam[0::2] + 1j * lam[1::2]) / math.sqrt(2.0 * scales.hbar_tilde)
 
     # spectrum route: a_k(tau) = -i e^{-i w tau} sqrt(w) (I_k^(0) + I_k^(1))
-    res0, res1 = residual_displacement(spec, spectrum, state, setup, amplitude=1.0)
+    res0, res1 = residual_displacement(spec, spectrum, state, setup)
     omegas = spectrum.frequencies
     predicted = -1j * np.exp(-1j * omegas * tau * wc) * np.sqrt(omegas) * (res0 + res1)
 

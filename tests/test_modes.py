@@ -360,7 +360,7 @@ def test_williamson_holds_at_most_five_hessians(spectrum_fig4):
 def test_position_block_is_the_position_columns_of_s(name, request):
     spec = request.getfixturevalue(name)
     s = spec.symplectic
-    assert np.array_equal(spec.position_coefficients(), s[0::2, 0::2] + 1j * s[1::2, 0::2])
+    assert np.array_equal(spec.position_block, s[0::2, 0::2] + 1j * s[1::2, 0::2])
 
 
 def test_coefficient_canonicity(spectrum_high):
@@ -388,7 +388,7 @@ def test_symplectic_leading_term_identity(name, request):
     # nu^-2 term of the pair phase between distinct ions
     spec = request.getfixturevalue(name)
     assert spec.reference.rotation_frequency < 1e-3  # far from the special frame 1/2
-    a = spec.position_coefficients()
+    a = spec.position_block
     gram = np.real((spec.frequencies[:, None] * a).T @ a.conj())
     assert np.abs(gram - np.eye(len(gram))).max() <= 1e-12
 
@@ -451,6 +451,32 @@ def test_bands_single_ion(beryllium):
     assert sorted(bands.labels) == ["ExB", "axial", "cyclotron"]
     for name, (lo, hi) in bands.intervals.items():
         assert lo == hi  # singleton bands
+
+
+@pytest.mark.parametrize("n_ions, alpha_z, nu_c_hz, p_theta, gaps", [
+    (2, 0.7, 76.08e3, 10.0, [("ExB", "cyclotron"), ("cyclotron", "axial")]),
+    (8, 0.02, 7.608e6, 2000.0, [("ExB", "axial"), ("axial", "cyclotron")]),
+], ids=["pair", "3d"])
+def test_band_labels_intervals_and_gaps(beryllium, n_ions, alpha_z, nu_c_hz, p_theta, gaps):
+    setup = TrapSetup(beryllium, TWO_PI * nu_c_hz, alpha_z, n_ions)
+    spec = williamson(build_hessian(find_equilibrium(setup, p_theta, AnnealSchedule(seed=3))))
+    bands = classify_bands(spec, setup)
+    assert all(type(label) is str for label in bands.labels)
+    assert {band: bands.labels.count(band) for band in set(bands.labels)} == {
+        "ExB": n_ions, "cyclotron": n_ions, "axial": n_ions}
+    # the lifted rotation mode is labelled ExB but lies outside every band
+    reg = spec.regularized_mode
+    assert reg is not None and bands.labels[reg] == "ExB"
+    for lo, hi in bands.intervals.values():
+        assert not lo <= spec.frequencies[reg] <= hi
+    for band, interval in bands.intervals.items():
+        members = [f for k, f in enumerate(spec.frequencies)
+                   if bands.labels[k] == band and k != reg]
+        assert interval == (min(members), max(members))
+    # each gap runs from the top of the band below it to the bottom of the next
+    assert [(a, b) for *_, a, b in bands.gaps] == gaps
+    for lo, hi, below, above in bands.gaps:
+        assert (lo, hi) == (bands.intervals[below][1], bands.intervals[above][0])
 
 
 def test_cyclotron_band_near_cyclotron_frequency(spectrum_high):
